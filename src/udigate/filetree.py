@@ -23,6 +23,7 @@ import hashlib
 import json
 import posixpath
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Optional
 
 from .errors import EmptyLayerList, MalformedLayer, ModConflict
@@ -165,24 +166,42 @@ class FileTree:
                 parent = posixpath.dirname(parent)
 
     def digest(self) -> str:
-        return hashlib.sha256(tree_to_blob(self)).hexdigest()
+        sha = hashlib.sha256()
+        for chunk in _blob_chunks(self):
+            sha.update(chunk)
+        return sha.hexdigest()
 
 
 # --- canonical blob codec ----------------------------------------------------
 
+def _json_str(text: str) -> bytes:
+    return encode_basestring_ascii(text).encode("ascii")
+
+
+def _blob_chunks(tree: FileTree) -> Iterator[bytes]:
+    """The canonical blob, one chunk per entry. The bytes are exactly
+    json.dumps({"entries": {path: rec}}, sort_keys=True,
+    separators=(",", ":")) with rec keys content_b64 < kind < mode < target,
+    written out by hand so no whole document is ever built."""
+    lead = b'{"entries":{'
+    for path, e in tree.items():
+        key = _json_str(path)
+        kind_mode = b'"kind":%s,"mode":%d' % (_json_str(e.kind), e.mode)
+        if e.kind == KIND_FILE:
+            rec = b'{"content_b64":"%s",%s}' % (base64.b64encode(e.content), kind_mode)
+        elif e.kind == KIND_SYMLINK:
+            rec = b'{%s,"target":%s}' % (kind_mode, _json_str(e.target))
+        else:
+            rec = b"{%s}" % kind_mode
+        yield b"%s%s:%s" % (lead, key, rec)
+        lead = b","
+    yield b"}}" if lead == b"," else b'{"entries":{}}'
+
+
 def tree_to_blob(tree: FileTree) -> bytes:
     """Canonical JSON serialization. Same tree always gives identical bytes,
     which is what makes content digests meaningful."""
-    entries = {}
-    for path, e in tree.items():
-        rec: dict = {"kind": e.kind, "mode": e.mode}
-        if e.kind == KIND_FILE:
-            rec["content_b64"] = base64.b64encode(e.content).decode("ascii")
-        elif e.kind == KIND_SYMLINK:
-            rec["target"] = e.target
-        entries[path] = rec
-    doc = {"entries": entries}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return b"".join(_blob_chunks(tree))
 
 
 def tree_from_blob(data: bytes) -> FileTree:

@@ -451,7 +451,8 @@ class Gateway:
                 yield PullStep("transfer", layer_cost / chunks, transfer)
 
         def do_flatten():
-            trees = [tree_from_blob(blobs[d]) for d in manifest.layers]
+            # pop: each blob is dropped as soon as its tree is decoded
+            trees = [tree_from_blob(blobs.pop(d)) for d in manifest.layers]
             ctx["flat"] = flatten(trees)
             self.begin_convert(task, ctx["flat"].digest())
         yield PullStep("flatten", 0.0, do_flatten)

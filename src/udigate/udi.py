@@ -20,14 +20,18 @@ Entries are sorted by path, so identical trees with identical metadata give
 bit-identical archives. Writers stream through a hashing wrapper and land on
 the final name via rename, a crashed writer leaves no partial archive behind.
 
-verify_udi never raises: it walks the structure with seeks (no content is
-held in memory), then stream-hashes everything before the trailer, and
-reports (ok, reason). Readers and mounters must gate on it.
+open_udi reads an archive once, front to back, in windows of at most 1 MiB
+(a small archive in a single read), parses each header with precompiled
+structs and hashes every body byte exactly once, so memory stays bounded
+whatever the archive's size. It returns the descriptor and the file table,
+or raises UdiCorrupt with the reason. verify_udi and verify_udi_bytes wrap
+it and never raise: they report (ok, reason) and, on success, the trailer
+digest. Readers and mounters must gate on them. scan_udi makes the same
+walk without hashing and is for display only.
 """
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import struct
@@ -49,7 +53,7 @@ _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 
 _META_LIMIT = 16 * 1024 * 1024
 _COUNT_LIMIT = 10_000_000
-_CHUNK = 1024 * 1024
+_WINDOW = 1024 * 1024  # largest single read of an archive
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,7 @@ class UdiCheck:
     ok: bool
     reason: str = ""
     detail: str = ""
+    digest: str = ""  # trailer hex, set when ok
 
 
 @dataclass(frozen=True)
@@ -164,176 +169,260 @@ def write_udi(tree: FileTree, dest_path: str, source_ref: str, created_at: float
                             _tree_entry_stream(tree))
 
 
-class _Walker:
-    """Structural walk over an archive without loading contents."""
+_HEAD = struct.Struct("<4sHI")          # magic, version, meta_len
+_COUNT = struct.Struct("<I")
+_PATH_LEN = struct.Struct("<H")
+_ENTRY_FIELDS = struct.Struct("<BHQ")   # kind, mode, content_len (after the path)
 
-    def __init__(self, fh, size: int):
+
+class _Reader:
+    """Forward-only window over an archive body.
+
+    An image in memory (bytes, or a file small enough to take in one read)
+    is a single window, hashed in one call by finish(). A larger file is
+    read front to back in windows of at most _WINDOW bytes; when hashing,
+    each window is fed to the hash as it arrives, so every body byte is
+    read and hashed exactly once. Without hashing, content that runs past
+    the window is skipped with a seek. No read crosses into the trailer.
+
+    The parser keeps its cursor as a position in buf; buf[:limit] are body
+    bytes, and a window move returns the cursor's new position.
+    """
+
+    __slots__ = ("fh", "hashing", "sha", "body_end", "buf", "base", "limit", "read_to")
+
+    def __init__(self, fh, data, size: int, hashing: bool):
         self.fh = fh
-        self.size = size
-        self.body_end = size - TRAILER_LEN  # first trailer byte
-        self.off = 0
+        self.hashing = hashing
+        self.body_end = size - TRAILER_LEN
+        self.base = 0     # archive offset of buf[0]
+        self.read_to = 0  # archive offset of the next file read
+        self.buf = data if fh is None else b""
+        self.sha = hashlib.sha256() if hashing and fh is not None else None
+        self.limit = min(len(self.buf), self.body_end)
 
-    def take(self, n: int, what: str) -> bytes:
-        if self.off + n > self.body_end:
-            raise UdiCorrupt("truncated", what)
-        self.fh.seek(self.off)
+    def _read_window(self) -> bytes:
+        n = min(_WINDOW, self.body_end - self.read_to)
         data = self.fh.read(n)
         if len(data) != n:
-            raise UdiCorrupt("truncated", what)
-        self.off += n
+            raise UdiCorrupt("truncated", "short read")
+        if self.sha is not None:
+            self.sha.update(data)
+        self.read_to += n
         return data
 
-    def skip(self, n: int, what: str) -> int:
-        start = self.off
-        if self.off + n > self.body_end:
+    def _move(self, buf: bytes, base: int) -> None:
+        self.buf, self.base = buf, base
+        self.limit = min(len(buf), self.body_end - base)
+
+    def ensure(self, pos: int, n: int, what: str) -> int:
+        """Make buf[pos:pos + n] the next n body bytes. Raises truncated
+        (what) if they would run past the body."""
+        if self.base + pos + n > self.body_end:
             raise UdiCorrupt("truncated", what)
-        self.off += n
-        return start
+        if pos + n > self.limit:
+            pieces = [self.buf[pos:]]
+            have = len(pieces[0])
+            while have < n:
+                pieces.append(self._read_window())
+                have += len(pieces[-1])
+            self._move(b"".join(pieces), self.base + pos)
+            pos = 0
+        return pos
+
+    def skip(self, pos: int, n: int, what: str) -> int:
+        """Move the cursor past n bytes of content."""
+        target = self.base + pos + n
+        if target > self.body_end:
+            raise UdiCorrupt("truncated", what)
+        if pos + n <= self.limit:  # always so for an image in memory
+            return pos + n
+        if self.sha is None:
+            self.fh.seek(target)
+            self.read_to = target
+            self._move(b"", target)
+            return 0
+        while self.read_to < target:
+            window = self._read_window()
+        self._move(window, self.read_to - len(window))
+        return target - self.base
+
+    def finish(self) -> tuple[bytes, bytes | None]:
+        """(stored trailer, body hash or None when not hashing), once the
+        cursor stands at the end of the body."""
+        if self.fh is None:
+            stored = self.buf[self.body_end:]
+            if not self.hashing:
+                return stored, None
+            return stored, hashlib.sha256(memoryview(self.buf)[:self.body_end]).digest()
+        stored = self.fh.read(TRAILER_LEN)
+        if len(stored) != TRAILER_LEN:
+            raise UdiCorrupt("truncated", "trailer short read")
+        return stored, self.sha.digest() if self.sha is not None else None
 
 
-def _walk_structure(fh, size: int) -> tuple[dict, list[UdiEntryInfo]]:
-    if size < MIN_SIZE:
-        raise UdiCorrupt("truncated", "shorter than fixed header")
-    w = _Walker(fh, size)
-    if w.take(4, "magic") != MAGIC:
+def _parse(r: _Reader, keep_content: bool) -> tuple[dict, list[tuple], list[bytes]]:
+    """Header, metadata and file table, up to the trailer. Entries come back
+    as UdiEntryInfo field tuples; contents holds each entry's content bytes
+    when keep_content is set."""
+    pos = r.ensure(0, _HEAD.size, "header")
+    magic, version, meta_len = _HEAD.unpack_from(r.buf, pos)
+    pos += _HEAD.size
+    if magic != MAGIC:
         raise UdiCorrupt("magic", "bad magic")
-    (version,) = struct.unpack("<H", w.take(2, "version"))
     if version != VERSION:
         raise UdiCorrupt("version", f"unsupported version {version}")
-    (meta_len,) = struct.unpack("<I", w.take(4, "meta_len"))
     if meta_len > _META_LIMIT:
         raise UdiCorrupt("truncated", "metadata length exceeds limit")
-    meta_raw = w.take(meta_len, "metadata")
+    pos = r.ensure(pos, meta_len, "metadata")
     try:
-        meta = json.loads(meta_raw.decode("utf-8"))
+        meta = json.loads(r.buf[pos:pos + meta_len].decode("utf-8"))
         if not isinstance(meta, dict):
             raise ValueError("metadata not an object")
     except (ValueError, UnicodeDecodeError) as exc:
         raise UdiCorrupt("metadata", str(exc))
-    (count,) = struct.unpack("<I", w.take(4, "count"))
+    pos = r.ensure(pos + meta_len, _COUNT.size, "count")
+    (count,) = _COUNT.unpack_from(r.buf, pos)
+    pos += _COUNT.size
     if count > _COUNT_LIMIT:
         raise UdiCorrupt("truncated", "entry count exceeds limit")
-    infos: list[UdiEntryInfo] = []
+
+    entries: list[tuple] = []
+    contents: list[bytes] = []
+    path_len_of, fields_of = _PATH_LEN.unpack_from, _ENTRY_FIELDS.unpack_from
+    fields = _ENTRY_FIELDS.size
+    buf, limit = r.buf, r.limit
     for i in range(count):
-        (path_len,) = struct.unpack("<H", w.take(2, f"entry {i} path_len"))
-        path_raw = w.take(path_len, f"entry {i} path")
+        # the window calls below only run when a header or content
+        # straddles the window's end, or the archive is truncated
+        if pos + 2 > limit:
+            pos = r.ensure(pos, 2, f"entry {i} path_len")
+            buf, limit = r.buf, r.limit
+        (path_len,) = path_len_of(buf, pos)
+        fields_at = pos + 2 + path_len
+        if fields_at + fields > limit:
+            pos = r.ensure(pos, 2 + path_len + fields, f"entry {i} header")
+            buf, limit = r.buf, r.limit
+            fields_at = pos + 2 + path_len
         try:
-            path = path_raw.decode("utf-8")
+            path = buf[pos + 2:fields_at].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise UdiCorrupt("metadata", f"entry {i} path not utf-8: {exc}")
-        (kind_code,) = struct.unpack("<B", w.take(1, f"entry {i} kind"))
-        if kind_code not in _CODE_KIND:
+        kind_code, mode, content_len = fields_of(buf, fields_at)
+        kind = _CODE_KIND.get(kind_code)
+        if kind is None:
             raise UdiCorrupt("metadata", f"entry {i} unknown kind {kind_code}")
-        (mode,) = struct.unpack("<H", w.take(2, f"entry {i} mode"))
-        (content_len,) = struct.unpack("<Q", w.take(8, f"entry {i} content_len"))
-        content_off = w.skip(content_len, f"entry {i} content")
-        infos.append(UdiEntryInfo(path=path, kind=_CODE_KIND[kind_code], mode=mode,
-                                  size=content_len, content_offset=content_off))
-    if w.off != w.body_end:
-        raise UdiCorrupt("truncated", f"{w.body_end - w.off} undeclared bytes before trailer")
-    return meta, infos
+        pos = fields_at + fields
+        content_off = r.base + pos
+        end = pos + content_len
+        if end > limit:
+            if keep_content:
+                pos = r.ensure(pos, content_len, f"entry {i} content")
+                end = pos + content_len
+            else:
+                end = r.skip(pos, content_len, f"entry {i} content")
+            buf, limit = r.buf, r.limit
+        if keep_content:
+            contents.append(buf[end - content_len:end])
+        pos = end
+        entries.append((path, kind, mode, content_len, content_off))
+    undeclared = r.body_end - (r.base + pos)
+    if undeclared:
+        raise UdiCorrupt("truncated", f"{undeclared} undeclared bytes before trailer")
+    return meta, entries, contents
 
 
-def _hash_body(fh, size: int) -> bytes:
-    sha = hashlib.sha256()
-    fh.seek(0)
-    remaining = size - TRAILER_LEN
-    while remaining > 0:
-        chunk = fh.read(min(_CHUNK, remaining))
-        if not chunk:
-            raise UdiCorrupt("truncated", "short read while hashing")
-        sha.update(chunk)
-        remaining -= len(chunk)
-    return sha.digest()
+def _walk(fh, data, size: int, path: str, hashing: bool,
+          keep_content: bool) -> tuple[UdiDescriptor, list[tuple], list[bytes]]:
+    if size < MIN_SIZE:
+        raise UdiCorrupt("truncated", "shorter than fixed header")
+    r = _Reader(fh, data, size, hashing)
+    meta, entries, contents = _parse(r, keep_content)
+    stored, computed = r.finish()
+    if computed is not None and computed != stored:
+        raise UdiCorrupt("checksum", "trailer does not match body hash")
+    try:
+        desc = UdiDescriptor(
+            path=path, content_digest=stored.hex(), size_bytes=size,
+            created_at=float(meta.get("created_at", 0.0)),
+            source_ref=str(meta.get("source_ref", "")),
+            site_mods=tuple(meta.get("site_mods", ())))
+    except (TypeError, ValueError) as exc:
+        raise UdiCorrupt("metadata", str(exc))
+    return desc, entries, contents
 
 
-_SMALL_ARCHIVE = 8 * 1024 * 1024
+def _open(source, hashing: bool,
+          keep_content: bool = False) -> tuple[UdiDescriptor, list[tuple], list[bytes]]:
+    if isinstance(source, (bytes, bytearray)):
+        return _walk(None, source, len(source), "", hashing, keep_content)
+    path = os.fspath(source)
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size > _WINDOW:
+                return _walk(fh, None, size, path, hashing, keep_content)
+            data = fh.read()
+    except OSError as exc:
+        raise StorageIoError(f"cannot read archive: {exc}") from exc
+    return _walk(None, data, len(data), path, hashing, keep_content)
+
+
+def open_udi(source: str | bytes) -> tuple[UdiDescriptor, list[UdiEntryInfo]]:
+    """Read an archive (a path, or the image itself as bytes) in one forward
+    pass: structure walk plus trailer hash over the whole body, in bounded
+    memory. Returns the descriptor (path "" for bytes) and the file table.
+    Raises UdiCorrupt with the reason, or StorageIoError if the file cannot
+    be read."""
+    desc, entries, _ = _open(source, hashing=True)
+    return desc, [UdiEntryInfo(*e) for e in entries]
 
 
 def verify_udi(path: str) -> UdiCheck:
-    """Full integrity check: structure walk plus trailer hash over the whole
-    body. Bounded memory regardless of archive size. Never raises."""
+    """Full integrity check of the archive at path, as open_udi. Never
+    raises; on success digest is the trailer hex."""
     try:
-        size = os.path.getsize(path)
-        with open(path, "rb") as real:
-            # small archives are checked from memory, seek-heavy walks on
-            # the page cache are pure overhead at this size
-            fh = io.BytesIO(real.read()) if size <= _SMALL_ARCHIVE else real
-            try:
-                _walk_structure(fh, size)
-            except UdiCorrupt as exc:
-                return UdiCheck(False, exc.reason, str(exc))
-            computed = _hash_body(fh, size)
-            fh.seek(size - TRAILER_LEN)
-            stored = fh.read(TRAILER_LEN)
-            if len(stored) != TRAILER_LEN:
-                return UdiCheck(False, "truncated", "trailer short read")
-            if computed != stored:
-                return UdiCheck(False, "checksum", "trailer does not match body hash")
-    except OSError as exc:
-        return UdiCheck(False, "io", str(exc))
+        desc, _, _ = _open(path, hashing=True)
     except UdiCorrupt as exc:
         return UdiCheck(False, exc.reason, str(exc))
-    return UdiCheck(True)
+    except StorageIoError as exc:
+        return UdiCheck(False, "io", str(exc))
+    return UdiCheck(True, digest=desc.content_digest)
 
 
 def verify_udi_bytes(data: bytes) -> UdiCheck:
     """verify_udi over an in-memory image, used by corruption sweeps."""
-    fh = io.BytesIO(data)
-    size = len(data)
-    try:
-        _walk_structure(fh, size)
-    except UdiCorrupt as exc:
-        return UdiCheck(False, exc.reason, str(exc))
-    computed = hashlib.sha256(data[:-TRAILER_LEN]).digest() if size >= TRAILER_LEN else b""
-    if size < TRAILER_LEN or computed != data[-TRAILER_LEN:]:
-        return UdiCheck(False, "checksum", "trailer does not match body hash")
-    return UdiCheck(True)
+    return verify_udi(data)
 
 
 def scan_udi(path: str) -> tuple[UdiDescriptor, list[UdiEntryInfo]]:
     """Metadata walk without content loads or hashing. Structural errors
     raise UdiCorrupt. Callers that need integrity must verify_udi first."""
-    try:
-        size = os.path.getsize(path)
-        with open(path, "rb") as fh:
-            meta, infos = _walk_structure(fh, size)
-            fh.seek(size - TRAILER_LEN)
-            stored = fh.read(TRAILER_LEN)
-    except OSError as exc:
-        raise StorageIoError(f"cannot scan archive: {exc}") from exc
-    desc = UdiDescriptor(
-        path=path, content_digest=stored.hex(), size_bytes=size,
-        created_at=float(meta.get("created_at", 0.0)),
-        source_ref=str(meta.get("source_ref", "")),
-        site_mods=tuple(meta.get("site_mods", ())))
-    return desc, infos
+    desc, entries, _ = _open(path, hashing=False)
+    return desc, [UdiEntryInfo(*e) for e in entries]
 
 
 def read_udi(path: str) -> tuple[FileTree, UdiDescriptor]:
-    """Verify, then load the whole tree into memory. For archives too large
-    to hold, use scan_udi + read_entry_content."""
-    check = verify_udi(path)
-    if not check.ok:
-        raise UdiCorrupt(check.reason, path)
-    desc, infos = scan_udi(path)
+    """Verify and load the whole tree into memory in one pass. For archives
+    too large to hold, use scan_udi + read_entry_content."""
+    try:
+        desc, entries, contents = _open(path, hashing=True, keep_content=True)
+    except UdiCorrupt as exc:
+        raise UdiCorrupt(exc.reason, path) from exc
+    except StorageIoError as exc:
+        raise UdiCorrupt("io", path) from exc
     tree = FileTree()
-    with open(path, "rb") as fh:
-        for info in infos:
-            if info.kind == KIND_FILE:
-                fh.seek(info.content_offset)
-                content = fh.read(info.size)
-                tree.set_entry(info.path, TreeEntry(KIND_FILE, info.mode, content))
-            elif info.kind == KIND_SYMLINK:
-                fh.seek(info.content_offset)
-                target = fh.read(info.size).decode("utf-8")
-                tree.set_entry(info.path, TreeEntry(KIND_SYMLINK, info.mode, b"", target))
-            else:
-                tree.set_entry(info.path, TreeEntry(KIND_DIR, info.mode))
+    for (path, kind, mode, _, _), content in zip(entries, contents):
+        if kind == KIND_FILE:
+            tree.set_entry(path, TreeEntry(KIND_FILE, mode, content))
+        elif kind == KIND_SYMLINK:
+            tree.set_entry(path, TreeEntry(KIND_SYMLINK, mode, b"", content.decode("utf-8")))
+        else:
+            tree.set_entry(path, TreeEntry(KIND_DIR, mode))
     return tree, desc
 
 
-def read_entry_content(path: str, info: UdiEntryInfo, chunk_size: int = _CHUNK) -> Iterator[bytes]:
+def read_entry_content(path: str, info: UdiEntryInfo, chunk_size: int = _WINDOW) -> Iterator[bytes]:
     """Stream one entry's content without loading it whole."""
     with open(path, "rb") as fh:
         fh.seek(info.content_offset)

@@ -5,6 +5,9 @@ on a staging directory (tests/helpers.py) and demands byte-for-byte
 agreement with the pure-tree implementation.
 """
 
+import base64
+import hashlib
+import json
 import random
 
 import pytest
@@ -80,6 +83,41 @@ def test_blob_roundtrip_and_digest_stability():
     assert back == t
     assert tree_to_blob(back) == blob
     assert t.digest() == blob_digest(blob)
+
+
+def _reference_blob(tree: FileTree) -> bytes:
+    entries = {}
+    for path, e in tree.items():
+        rec = {"kind": e.kind, "mode": e.mode}
+        if e.kind == "file":
+            rec["content_b64"] = base64.b64encode(e.content).decode("ascii")
+        elif e.kind == "symlink":
+            rec["target"] = e.target
+        entries[path] = rec
+    return json.dumps({"entries": entries}, sort_keys=True,
+                      separators=(",", ":")).encode()
+
+
+def test_blob_encoder_matches_json_dumps():
+    names = ["a", "Z", "é", "日本", "\U0001F600", 'q"uote', "back\\slash", "tab\t", "\u007f"]
+    targets = ['../x"y', "c:\\dir\\", "ünï\\\"", "\U0001F4A9/\n"]
+    rng = random.Random(7)
+    assert tree_to_blob(FileTree()) == _reference_blob(FileTree())
+    for _ in range(200):
+        t = FileTree()
+        for _ in range(rng.randrange(1, 12)):
+            path = "/" + "/".join(rng.choice(names) for _ in range(rng.randrange(1, 4)))
+            kind = rng.choice(("file", "dir", "symlink"))
+            if kind == "file":
+                t.add_file(path, rng.randbytes(rng.randrange(0, 40)),
+                           mode=rng.choice((0o644, 0o600, 0o755, 0)))
+            elif kind == "dir":
+                t.add_dir(path, mode=rng.choice((0o755, 0o700, 0o1777)))
+            else:
+                t.add_symlink(path, rng.choice(targets))
+        ref = _reference_blob(t)
+        assert tree_to_blob(t) == ref
+        assert t.digest() == hashlib.sha256(ref).hexdigest()
 
 
 def test_tree_from_blob_rejects_garbage():

@@ -2,6 +2,7 @@
 
 import pytest
 
+import udigate.nodeagent
 from helpers import payload_tree
 from udigate.authsvc import CredentialVerifier, issue_credential
 from udigate.clock import VirtualClock
@@ -15,7 +16,7 @@ from udigate.errors import (
     UdiCorrupt,
 )
 from udigate.nodeagent import GroupCache, IdentityBackend, NodeAgent, ThreadedIdentityBackend
-from udigate.udi import UdiDescriptor, write_udi
+from udigate.udi import UdiDescriptor, verify_udi, write_udi
 
 SECRET = b"node-secret"
 DIRECTORY = {1001: (100, 200), 1002: (100,)}
@@ -298,3 +299,20 @@ def test_state_snapshot(rig):
     assert st.cache_enabled is True
     assert st.cached_uids == 1
     assert [m.job_id for m in st.mounts] == ["job-1"]
+
+
+def test_mount_opens_archive_once(rig, monkeypatch):
+    agent, _, _, desc, cred = rig
+    calls = []
+
+    def counting_verify(path):
+        calls.append(path)
+        return verify_udi(path)
+
+    def no_scan(path):
+        raise AssertionError("mount must not scan the archive")
+
+    monkeypatch.setattr(udigate.nodeagent, "verify_udi", counting_verify)
+    monkeypatch.setattr(udigate.nodeagent, "scan_udi", no_scan)
+    agent.mount_udi(desc, cred, "job-1")
+    assert calls == [desc.path]

@@ -1,5 +1,6 @@
 """Archive format: round trips, determinism, corruption rejection, streaming."""
 
+import dataclasses
 import hashlib
 import os
 import random
@@ -11,9 +12,13 @@ from helpers import payload_tree, random_stack, tiny_tree
 from udigate.errors import StorageIoError, UdiCorrupt
 from udigate.filetree import FileTree, flatten
 from udigate.udi import (
+    _WINDOW,
     MAGIC,
+    MIN_SIZE,
     TRAILER_LEN,
+    UdiCheck,
     UdiEntryInfo,
+    open_udi,
     read_entry_content,
     read_udi,
     scan_udi,
@@ -198,3 +203,76 @@ def test_scan_does_not_hash(tmp_path):
 
 def test_magic_constant():
     assert MAGIC == b"UDI1"
+
+
+def test_open_udi_path_and_bytes_agree(tmp_path):
+    desc = _write(payload_tree(), tmp_path / "a.udi")
+    pdesc, pentries = open_udi(desc.path)
+    bdesc, bentries = open_udi(open(desc.path, "rb").read())
+    assert pdesc == desc
+    assert bdesc == dataclasses.replace(desc, path="")
+    assert bentries == pentries
+    assert verify_udi(desc.path) == UdiCheck(True, digest=desc.content_digest)
+
+
+def _straddling_archive(tmp_path):
+    """An archive past one window whose second entry header starts 5 bytes
+    before the window boundary, followed by content longer than a window."""
+    def write(first_size):
+        entries = [
+            ("/a", "file", 0o644, first_size, (b"a" * first_size,)),
+            ("/b/straddle", "file", 0o600, 7, (b"bbbbbbb",)),
+            ("/c", "file", 0o644, 2 * _WINDOW + 3, (bytes(range(256)) * (2 * _WINDOW // 256), b"xyz")),
+            ("/d", "symlink", 0o777, 2, (b"/c",)),
+        ]
+        return write_udi_stream(str(tmp_path / "big.udi"), 1.0, "r:t", (), entries)
+    _, entries = open_udi(write(1).path)
+    header_at = _WINDOW - 5
+    desc = write(header_at - entries[0].content_offset)
+    return desc, header_at
+
+
+def test_window_straddling_header_verifies_and_flips_are_caught(tmp_path):
+    desc, header_at = _straddling_archive(tmp_path)
+    assert desc.size_bytes > 2 * _WINDOW
+    check = verify_udi(desc.path)
+    assert check.ok, check
+    assert check.digest == desc.content_digest
+    data = open(desc.path, "rb").read()
+    fdesc, fentries = open_udi(desc.path)
+    bdesc, bentries = open_udi(data)
+    assert fentries == bentries
+    assert fentries[1].path == "/b/straddle"
+    assert fentries[1].content_offset - (2 + len("/b/straddle") + 11) == header_at
+    sdesc, sentries = scan_udi(desc.path)
+    assert (sdesc, sentries) == (fdesc, fentries)
+    tree, _ = read_udi(desc.path)
+    assert tree.get("/c").content == data[fentries[2].content_offset:][:2 * _WINDOW + 3]
+    assert tree.get("/d").target == "/c"
+    for pos in range(header_at, fentries[1].content_offset):
+        flipped = bytearray(data)
+        flipped[pos] ^= 0x41
+        with open(desc.path, "wb") as fh:
+            fh.write(flipped)
+        assert not verify_udi(desc.path).ok, f"flip at {pos} not caught"
+
+
+def test_truncated_large_archive_is_rejected(tmp_path):
+    desc, _ = _straddling_archive(tmp_path)
+    data = open(desc.path, "rb").read()
+    for cut in (_WINDOW + 1, len(data) - 1):
+        with open(desc.path, "wb") as fh:
+            fh.write(data[:cut])
+        check = verify_udi(desc.path)
+        assert (check.ok, check.reason) == (False, "truncated")
+
+
+def test_short_files_are_truncated_not_raised(tmp_path):
+    empty = tmp_path / "empty.udi"
+    empty.write_bytes(b"")
+    short = tmp_path / "short.udi"
+    short.write_bytes(MAGIC + bytes(MIN_SIZE - len(MAGIC) - 1))
+    for path in (empty, short):
+        check = verify_udi(str(path))
+        assert (check.ok, check.reason) == (False, "truncated")
+    assert verify_udi_bytes(b"").reason == "truncated"
