@@ -14,9 +14,10 @@ Canonical payload layout (little-endian throughout):
     issued_at  f64
     nonce      16 raw bytes
 
-wire form = base64(payload || mac). An unavailable verifier raises
-AuthServiceDown, which callers must keep distinct from MacMismatch: "the
-authenticator is down" must never be reported as "your credential is bad".
+wire form = base64(payload || mac). When a node's authenticator is down,
+its agent raises AuthServiceDown, which callers must keep distinct from
+MacMismatch: "the authenticator is down" must never be reported as "your
+credential is bad".
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import AuthServiceDown, CredentialExpired, MacMismatch
+from .errors import CredentialExpired, MacMismatch
 
 NONCE_LEN = 16
 MAC_LEN = hashlib.sha256().digest_size
@@ -140,24 +141,16 @@ def credential_from_wire(text: str) -> Credential:
 
 
 class CredentialVerifier:
-    """Verification endpoint with an availability switch.
+    """Verification endpoint: a shared secret, a ttl and a clock.
 
-    Flipping available off simulates the authenticator daemon dying on a
-    host; every verify then raises AuthServiceDown until it is restored.
+    An outage of the authenticator is switched on the node side, with
+    NodeAgent.set_auth_up, whose mounts then raise AuthServiceDown.
     """
 
-    def __init__(self, secret: bytes, ttl: float, clock, available: bool = True):
+    def __init__(self, secret: bytes, ttl: float, clock):
         self.secret = secret
         self.ttl = ttl
         self.clock = clock
-        self.available = available
 
     def verify(self, cred: Credential) -> Principal:
-        if not self.available:
-            raise AuthServiceDown("credential service unavailable")
         return verify_credential(cred, self.secret, self.clock.now(), self.ttl)
-
-    def verify_wire(self, text: str) -> Principal:
-        if not self.available:
-            raise AuthServiceDown("credential service unavailable")
-        return self.verify(credential_from_wire(text))

@@ -32,9 +32,8 @@ from .config import Config
 from .cluster import (MODE_DIRECTIVE, MODE_PER_COMMAND, UDI_GRES, ClusterSim,
                       JobCommand, JobSpec, derive_seed)
 from .errors import InsufficientData, InvalidSpec
-from .filetree import FileTree
 from .refs import parse_reference
-from .registry import LocalRegistry
+from .registry import LocalRegistry, fixture_layers
 
 CSV_COLUMNS = ("nodes", "ranks_per_node", "image_mode", "image_size_bytes",
                "startup_seconds", "seed")
@@ -73,23 +72,13 @@ def read_rows(path: str) -> list[BenchRow]:
     return out
 
 
-def _bench_image() -> list[FileTree]:
-    base = FileTree()
-    base.add_dir("/bin")
-    base.add_file("/bin/sh", b"#!/bin/sh\n", mode=0o755)
-    payload = FileTree()
-    payload.add_dir("/srv")
-    payload.add_file("/srv/payload.bin", b"x" * 256)
-    return [base, payload]
-
-
 def _measure_startup(n_nodes: int, ranks: int, ref_text: str, size_bytes: int,
                      mode: str, row_seed: int, config: Config,
                      tracer: Optional[Tracer] = None) -> float:
     ref = parse_reference(ref_text)
     registry = LocalRegistry()
     in_repo = f"{ref.repository}/{ref.name}" if ref.repository else ref.name
-    registry.add_image(in_repo, ref.tag, _bench_image(), total_size=size_bytes)
+    registry.add_image(in_repo, ref.tag, fixture_layers(), total_size=size_bytes)
     sim = ClusterSim(config, seed=row_seed, n_nodes=n_nodes, registry=registry,
                      tracer=tracer)
 

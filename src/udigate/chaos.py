@@ -34,7 +34,7 @@ from .filetree import FileTree
 from .gateway import Gateway, ImageState
 from .nodeagent import IdentityBackend, NodeAgent
 from .refs import parse_reference
-from .registry import LocalRegistry
+from .registry import LocalRegistry, fixture_layers
 from .udi import scan_udi, write_udi
 
 SCENARIO_NAMES = {
@@ -62,20 +62,6 @@ class ScenarioReport:
         return "\n".join(lines)
 
 
-def _base_layers() -> list[FileTree]:
-    base = FileTree()
-    base.add_dir("/bin")
-    base.add_file("/bin/sh", b"#!/bin/sh\n", mode=0o755)
-    base.add_dir("/etc")
-    base.add_file("/etc/os-release", b"ID=baseline\n")
-    app = FileTree()
-    app.add_dir("/opt")
-    app.add_file("/opt/app", b"\x7fELF app payload", mode=0o755)
-    cfg = FileTree()
-    cfg.add_file("/etc/app.conf", b"threads=4\n")
-    return [base, app, cfg]
-
-
 def _check(details: dict, checks: dict) -> bool:
     ok = True
     for name, value in checks.items():
@@ -90,7 +76,7 @@ def run_silent_stall(seed: int, config: Config | None = None) -> ScenarioReport:
     cfg = config or Config()
     tracer = Tracer()
     registry = LocalRegistry()
-    manifest = registry.add_image("deep-learning-base", "v1", _base_layers(),
+    manifest = registry.add_image("deep-learning-base", "v1", fixture_layers(),
                                   total_size=3_000_000_000)
     sim = ClusterSim(cfg, seed=seed, n_nodes=0, registry=registry, tracer=tracer)
     # the stream dies silently partway through the second layer
@@ -231,7 +217,7 @@ def run_restart_storm(seed: int, config: Config | None = None,
     cfg = config or Config()
     tracer = Tracer()
     registry = LocalRegistry()
-    manifest = registry.add_image("analytics-stack", "2024.1", _base_layers(),
+    manifest = registry.add_image("analytics-stack", "2024.1", fixture_layers(),
                                   total_size=3_000_000_000)
     sim = ClusterSim(cfg, seed=seed, n_nodes=0, registry=registry, tracer=tracer)
     ref = parse_reference("analytics-stack:2024.1", sim.system)
@@ -286,7 +272,7 @@ def run_auth_outage(seed: int, config: Config | None = None,
     cfg = config or Config()
     tracer = Tracer()
     registry = LocalRegistry()
-    registry.add_image("climate-model", "v7", _base_layers(), total_size=36_000_000)
+    registry.add_image("climate-model", "v7", fixture_layers(), total_size=36_000_000)
     sim = ClusterSim(cfg, seed=seed, n_nodes=nodes, registry=registry, tracer=tracer)
 
     spec = JobSpec(nodes=nodes, ranks_per_node=4, image_mode=MODE_DIRECTIVE,
@@ -357,7 +343,7 @@ def run_resolver_storm(seed: int, config: Config | None = None,
 
     def build(cache_enabled: bool) -> ClusterSim:
         registry = LocalRegistry()
-        registry.add_image("weather-ensemble", "v3", _base_layers(),
+        registry.add_image("weather-ensemble", "v3", fixture_layers(),
                            total_size=36_000_000)
         return ClusterSim(cfg.replace(cache_enabled=cache_enabled), seed=seed,
                           n_nodes=nodes, registry=registry, tracer=Tracer())

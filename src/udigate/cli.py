@@ -34,11 +34,10 @@ from .cluster import (
 from .config import Config, load_config
 from .chaos import run_scenario
 from .errors import UdigateError, UnknownScenario
-from .filetree import FileTree
 from .gateway import Gateway
 from .httpd import make_gateway_server, make_registry_server
 from .refs import parse_reference
-from .registry import HttpRegistryClient, LocalRegistry
+from .registry import HttpRegistryClient, LocalRegistry, fixture_layers
 from .service import GatewayRuntime
 
 log = logging.getLogger(__name__)
@@ -65,23 +64,12 @@ def _image_arg(text: str) -> tuple[str, int]:
         raise argparse.ArgumentTypeError(f"bad image size {size!r}") from exc
 
 
-def _demo_layers() -> list[FileTree]:
-    base = FileTree()
-    base.add_dir("/bin")
-    base.add_file("/bin/sh", b"#!/bin/sh\n", mode=0o755)
-    base.add_file("/etc/os-release", b"ID=demo\n")
-    app = FileTree()
-    app.add_dir("/app")
-    app.add_file("/app/main", b"\x7fELF demo payload", mode=0o755)
-    return [base, app]
-
-
 def _seed_registry(registry: LocalRegistry, refs: set[str],
                    size_bytes: int = 64 * 1024 * 1024) -> None:
     for text in sorted(refs):
         ref = parse_reference(text)
         name = f"{ref.repository}/{ref.name}" if ref.repository else ref.name
-        registry.add_image(name, ref.tag, _demo_layers(), total_size=size_bytes)
+        registry.add_image(name, ref.tag, fixture_layers(), total_size=size_bytes)
 
 
 def _print_result(job_id: str, result) -> None:

@@ -10,6 +10,11 @@ real filesystem does (the property tests check exactly that):
 
   * an entry named ``.wh.<name>`` removes ``<name>`` and its subtree from the
     result before the rest of its layer applies, and is not itself kept
+  * an opaque marker ``<dir>/.wh..wh..opq`` (OCI image-layer spec) removes
+    everything below ``<dir>`` that came from lower layers, in the same pass
+    as the layer's other whiteouts; ``<dir>`` itself is kept or created as a
+    dir, as for any entry's parents, a marker at ``/`` clears the whole lower
+    tree, and the marker is not itself kept
   * a dir entry over an existing dir updates the mode and keeps children
   * any other kind change (file over dir, dir over file, symlink over
     anything) removes the old subtree first
@@ -34,6 +39,7 @@ KIND_SYMLINK = "symlink"
 _KINDS = (KIND_FILE, KIND_DIR, KIND_SYMLINK)
 
 WHITEOUT_PREFIX = ".wh."
+OPAQUE_WHITEOUT = ".wh..wh..opq"
 
 DEFAULT_DIR_MODE = 0o755
 DEFAULT_FILE_MODE = 0o644
@@ -152,9 +158,6 @@ class FileTree:
             del self._entries[p]
         return len(doomed)
 
-    def content_size(self) -> int:
-        return sum(len(e.content) for e in self._entries.values())
-
     def validate(self) -> None:
         """Check parent-kind consistency: a present ancestor must be a dir."""
         for path in self._entries:
@@ -246,10 +249,25 @@ def _ensure_parent_dirs(result: FileTree, path: str) -> None:
             result.set_entry(p, TreeEntry(KIND_DIR, DEFAULT_DIR_MODE))
 
 
+def _make_opaque(result: FileTree, marker: str) -> None:
+    """Hide every lower entry below the marker's dir, which stays a dir."""
+    parent = posixpath.dirname(marker)
+    if parent == "/":
+        result._entries.clear()
+        return
+    _ensure_parent_dirs(result, marker)
+    kept = result.get(parent)
+    result.remove_subtree(parent)
+    result.set_entry(parent, kept)
+
+
 def apply_layer(result: FileTree, layer: FileTree) -> None:
     whiteouts = [p for p, _ in layer.items() if is_whiteout(p)]
     for p in whiteouts:
-        result.remove_subtree(whiteout_target(p))
+        if posixpath.basename(p) == OPAQUE_WHITEOUT:
+            _make_opaque(result, p)
+        else:
+            result.remove_subtree(whiteout_target(p))
     for path, entry in layer.items():
         if is_whiteout(path):
             continue

@@ -1,10 +1,12 @@
-"""HTTP front ends: gateway API, registry, and node-agent endpoints.
+"""HTTP front ends: gateway API and registry endpoints.
 
-All three are small stdlib ThreadingHTTPServer wrappers speaking JSON.
+Both are small stdlib ThreadingHTTPServer wrappers speaking JSON.
 Error responses carry ``{"error": <class name>, "detail": <message>}`` and
 map onto a fixed status table: 401 for credential problems, 404 for
 unknown images or malformed references, 409 for damaged archives or
-persistence, 503 when a backing service is down or overloaded.
+persistence, 503 when the registry is down. Other bad requests are 400.
+An unexpected exception is logged and answered with 500, so the
+keep-alive connection survives it.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ from urllib.parse import unquote, urlsplit
 
 from .authsvc import WIRE_HEADER, Credential, credential_from_wire
 from .errors import (
-    AlreadyMounted,
     AuthError,
-    IdentityTimeout,
     InvalidReference,
     NotFound,
     PersistenceCorrupt,
@@ -29,18 +29,16 @@ from .errors import (
     UdigateError,
 )
 from .gateway import Gateway
-from .nodeagent import NodeAgent
 from .refs import parse_reference
 from .registry import LocalRegistry
-from .udi import scan_udi
 
 log = logging.getLogger(__name__)
 
 _STATUS = (
     (AuthError, 401),
     ((NotFound, RegistryUnknownImage, InvalidReference), 404),
-    ((PersistenceCorrupt, StorageIoError, UdiCorrupt, AlreadyMounted), 409),
-    ((IdentityTimeout, RegistryIoError), 503),
+    ((PersistenceCorrupt, StorageIoError, UdiCorrupt), 409),
+    (RegistryIoError, 503),
 )
 
 
@@ -48,7 +46,7 @@ def _status_for(exc: Exception) -> int:
     for types, code in _STATUS:
         if isinstance(exc, types):
             return code
-    return 400
+    return 400 if isinstance(exc, (UdigateError, ValueError)) else 500
 
 
 class _JsonHandler(BaseHTTPRequestHandler):
@@ -57,34 +55,28 @@ class _JsonHandler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # noqa: D102 - quiet by default
         log.debug("%s %s", self.address_string(), fmt % args)
 
-    def _send_json(self, code: int, obj) -> None:
-        body = json.dumps(obj).encode()
+    def _send(self, code: int, content_type: str, body: bytes) -> None:
         self.send_response(code)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_bytes(self, code: int, data: bytes) -> None:
-        self.send_response(code)
-        self.send_header("Content-Type", "application/octet-stream")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def _send_error(self, exc: Exception) -> None:
-        self._send_json(_status_for(exc),
-                        {"error": type(exc).__name__, "detail": str(exc)})
-
-    def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length == 0:
-            return {}
-        raw = self.rfile.read(length)
-        obj = json.loads(raw.decode())
-        if not isinstance(obj, dict):
-            raise ValueError("body must be a JSON object")
-        return obj
+    def _reply(self, route) -> None:
+        """Answer with what route() returns: bytes as a blob, anything else
+        as JSON. A raised exception becomes a JSON error response; one that
+        is not a UdigateError or ValueError is logged and answered with 500."""
+        try:
+            body, code = route(), 200
+        except Exception as exc:
+            code = _status_for(exc)
+            if code == 500:
+                log.exception("unhandled error serving %s %s", self.command, self.path)
+            body = {"error": type(exc).__name__, "detail": str(exc)}
+        if isinstance(body, bytes):
+            self._send(code, "application/octet-stream", body)
+        else:
+            self._send(code, "application/json", json.dumps(body).encode())
 
     def _credential(self) -> Credential | None:
         wire = self.headers.get(WIRE_HEADER)
@@ -100,105 +92,51 @@ class _JsonHandler(BaseHTTPRequestHandler):
 class _GatewayHandler(_JsonHandler):
     gateway: Gateway  # injected by make_gateway_server
 
-    def _dispatch(self, method: str) -> None:
+    def _dispatch(self, method: str) -> dict:
         parts = self._parts()
-        try:
-            if len(parts) < 3 or parts[0] != "api":
-                raise NotFound(f"no such endpoint: {self.path}")
-            verb, system, rest = parts[1], parts[2], "/".join(parts[3:])
-            cred = self._credential()
-            if verb == "list" and method == "GET" and not rest:
-                records = self.gateway.list_records(system)
-                self._send_json(200, {"records": [r.to_api_dict() for r in records]})
-                return
-            if not rest:
-                raise NotFound(f"no such endpoint: {self.path}")
-            ref = parse_reference(rest, system=system)
-            if verb == "pull" and method == "POST":
-                rec = self.gateway.pull(ref, cred)
-            elif verb == "lookup" and method == "GET":
-                rec = self.gateway.lookup(ref)
-            elif verb == "expire" and method == "POST":
-                rec = self.gateway.expire(ref, cred)
-            else:
-                raise NotFound(f"no such endpoint: {self.path}")
-            self._send_json(200, rec.to_api_dict())
-        except (UdigateError, ValueError) as exc:
-            self._send_error(exc)
+        if len(parts) < 3 or parts[0] != "api":
+            raise NotFound(f"no such endpoint: {self.path}")
+        verb, system, rest = parts[1], parts[2], "/".join(parts[3:])
+        cred = self._credential()
+        if verb == "list" and method == "GET" and not rest:
+            records = self.gateway.list_records(system)
+            return {"records": [r.to_api_dict() for r in records]}
+        if not rest:
+            raise NotFound(f"no such endpoint: {self.path}")
+        ref = parse_reference(rest, system=system)
+        if verb == "pull" and method == "POST":
+            rec = self.gateway.pull(ref, cred)
+        elif verb == "lookup" and method == "GET":
+            rec = self.gateway.lookup(ref)
+        elif verb == "expire" and method == "POST":
+            rec = self.gateway.expire(ref, cred)
+        else:
+            raise NotFound(f"no such endpoint: {self.path}")
+        return rec.to_api_dict()
 
     def do_GET(self):  # noqa: N802
-        self._dispatch("GET")
+        self._reply(lambda: self._dispatch("GET"))
 
     def do_POST(self):  # noqa: N802
-        self._dispatch("POST")
+        self._reply(lambda: self._dispatch("POST"))
 
 
 class _RegistryHandler(_JsonHandler):
     registry: LocalRegistry  # injected by make_registry_server
 
-    def do_GET(self):  # noqa: N802
+    def _dispatch(self) -> bytes | dict:
         parts = self._parts()
-        try:
-            if len(parts) < 2 or parts[0] != "registry":
-                raise NotFound(f"no such endpoint: {self.path}")
-            if parts[1] == "blobs" and len(parts) == 3:
-                self._send_bytes(200, self.registry.fetch_layer(parts[2]))
-                return
-            if parts[-1] == "manifest.json" and len(parts) >= 3:
-                canonical = "/".join(parts[1:-1])
-                manifest = self.registry.fetch_manifest(canonical)
-                self._send_json(200, manifest.to_json_dict())
-                return
+        if len(parts) < 2 or parts[0] != "registry":
             raise NotFound(f"no such endpoint: {self.path}")
-        except UdigateError as exc:
-            self._send_error(exc)
-
-
-class _AgentHandler(_JsonHandler):
-    agent: NodeAgent  # injected by make_agent_server
+        if parts[1] == "blobs" and len(parts) == 3:
+            return self.registry.fetch_layer(parts[2])
+        if parts[-1] == "manifest.json" and len(parts) >= 3:
+            canonical = "/".join(parts[1:-1])
+            return self.registry.fetch_manifest(canonical).to_json_dict()
+        raise NotFound(f"no such endpoint: {self.path}")
 
     def do_GET(self):  # noqa: N802
-        parts = self._parts()
-        try:
-            if len(parts) == 3 and parts[:2] == ["agent", "resolve"]:
-                gids, wait = self.agent.resolve_groups(int(parts[2]))
-                self._send_json(200, {"uid": int(parts[2]), "gids": list(gids),
-                                      "wait": wait})
-                return
-            raise NotFound(f"no such endpoint: {self.path}")
-        except (UdigateError, ValueError) as exc:
-            self._send_error(exc)
-
-    def do_POST(self):  # noqa: N802
-        parts = self._parts()
-        try:
-            if len(parts) != 2 or parts[0] != "agent":
-                raise NotFound(f"no such endpoint: {self.path}")
-            body = self._read_body()
-            if parts[1] == "mount":
-                cred = self._credential()
-                if cred is None:
-                    raise AuthError("credential required")
-                desc, _ = scan_udi(body["udi_path"])
-                handle, wait = self.agent.mount_udi(desc, cred, body["job_id"])
-                self._send_json(200, {"node_id": handle.node_id,
-                                      "job_id": handle.job_id,
-                                      "digest": handle.digest,
-                                      "path": handle.path,
-                                      "identity_wait": wait})
-            elif parts[1] == "unmount":
-                ok = self.agent.unmount_udi(body["job_id"], body["digest"])
-                self._send_json(200, {"unmounted": ok})
-            elif parts[1] == "set_auth_up":
-                self.agent.set_auth_up(bool(body["up"]))
-                self._send_json(200, {"auth_up": self.agent.state().auth_up})
-            elif parts[1] == "flush_cache":
-                self.agent.flush_cache()
-                self._send_json(200, {"flushed": True})
-            else:
-                raise NotFound(f"no such endpoint: {self.path}")
-        except (UdigateError, ValueError, KeyError) as exc:
-            self._send_error(exc)
+        self._reply(self._dispatch)
 
 
 def _make_server(handler_cls, host: str, port: int) -> ThreadingHTTPServer:
@@ -216,10 +154,4 @@ def make_gateway_server(gateway: Gateway, host: str = "127.0.0.1",
 def make_registry_server(registry: LocalRegistry, host: str = "127.0.0.1",
                          port: int = 0) -> ThreadingHTTPServer:
     handler = type("RegistryHandler", (_RegistryHandler,), {"registry": registry})
-    return _make_server(handler, host, port)
-
-
-def make_agent_server(agent: NodeAgent, host: str = "127.0.0.1",
-                      port: int = 0) -> ThreadingHTTPServer:
-    handler = type("AgentHandler", (_AgentHandler,), {"agent": agent})
     return _make_server(handler, host, port)

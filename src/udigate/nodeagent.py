@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import heapq
 import logging
-import threading
-import time as _time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -38,16 +36,6 @@ class MountHandle:
     digest: str
     path: str
     mounted_at: float
-
-
-@dataclass(frozen=True)
-class NodeState:
-    node_id: int
-    mounts: tuple[MountHandle, ...]
-    auth_up: bool
-    cache_enabled: bool
-    cached_uids: int
-    health: str
 
 
 class GroupCache:
@@ -135,41 +123,10 @@ class IdentityBackend:
                               ("done", f"{done:.6f}")])
         return self.directory.get(int(uid)), done - arrival
 
-    def in_flight_at(self, t: float) -> int:
-        return sum(1 for d in self._busy if d > t)
-
-
-class ThreadedIdentityBackend:
-    """Wall-clock twin of IdentityBackend for the service runtime."""
-
-    def __init__(self, directory: dict[int, tuple[int, ...]], cap: int, timeout: float,
-                 latency_mean: float = 0.0):
-        self.directory = {int(k): tuple(sorted(v)) for k, v in directory.items()}
-        self.timeout = float(timeout)
-        self.latency_mean = float(latency_mean)
-        self._sem = threading.BoundedSemaphore(int(cap))
-        self.requests = 0
-        self.timeouts = 0
-
-    def lookup(self, uid: int, arrival: float = 0.0) -> tuple[Optional[tuple[int, ...]], float]:
-        self.requests += 1
-        start = _time.monotonic()
-        if not self._sem.acquire(timeout=self.timeout):
-            self.timeouts += 1
-            raise IdentityTimeout(
-                f"group resolution for uid {uid} waited past {self.timeout:.3f}s")
-        try:
-            if self.latency_mean > 0:
-                _time.sleep(self.latency_mean)
-            return self.directory.get(int(uid)), _time.monotonic() - start
-        finally:
-            self._sem.release()
-
 
 class NodeAgent:
     def __init__(self, node_id: int, clock, verifier: Optional[CredentialVerifier],
-                 identity, config: Config, tracer=None,
-                 cache_enabled: Optional[bool] = None):
+                 identity, config: Config, tracer=None):
         self.node_id = int(node_id)
         self.name = f"node/{self.node_id:04d}"
         self.clock = clock
@@ -178,7 +135,6 @@ class NodeAgent:
         self.config = config
         self.tracer = tracer
         self.auth_up = True
-        self.cache_enabled = config.cache_enabled if cache_enabled is None else cache_enabled
         self.cache = GroupCache(config.cache_ttl)
         self._mounts: dict[tuple[str, str], MountHandle] = {}
         self.cache_hits = 0
@@ -191,21 +147,8 @@ class NodeAgent:
     def set_auth_up(self, up: bool) -> None:
         self.auth_up = bool(up)
 
-    def flush_cache(self) -> None:
-        self.cache.flush()
-
     def prime_cache(self, uid: int, gids: tuple[int, ...]) -> None:
         self.cache.put(int(uid), tuple(sorted(gids)), self.clock.now())
-
-    @property
-    def health(self) -> str:
-        return "ok" if self.auth_up else "degraded"
-
-    def state(self) -> NodeState:
-        return NodeState(node_id=self.node_id,
-                         mounts=tuple(self._mounts[k] for k in sorted(self._mounts)),
-                         auth_up=self.auth_up, cache_enabled=self.cache_enabled,
-                         cached_uids=len(self.cache), health=self.health)
 
     def _trace(self, event: str, details) -> None:
         if self.tracer is not None:
@@ -217,7 +160,7 @@ class NodeAgent:
         """Returns (gids, wait_seconds). wait is 0 on a cache hit. Timeouts
         propagate and are never cached; unknown uids are negative-cached."""
         now = self.clock.now()
-        if self.cache_enabled:
+        if self.config.cache_enabled:
             hit, gids = self.cache.get(uid, now)
             if hit:
                 self.cache_hits += 1
@@ -226,7 +169,7 @@ class NodeAgent:
                 return gids, 0.0
         self.cache_misses += 1
         gids, wait = self.identity.lookup(uid, now)
-        if self.cache_enabled:
+        if self.config.cache_enabled:
             self.cache.put(uid, gids, now)
         if gids is None:
             raise NotFound(f"uid {uid} unknown to directory")

@@ -71,6 +71,23 @@ class Manifest:
         return m
 
 
+def fixture_layers() -> list[FileTree]:
+    """The small three-layer image that the chaos scenarios, the startup
+    benchmark and the CLI's demo registry serve. Their costs come from the
+    declared total_size, not from these bytes."""
+    base = FileTree()
+    base.add_dir("/bin")
+    base.add_file("/bin/sh", b"#!/bin/sh\n", mode=0o755)
+    base.add_dir("/etc")
+    base.add_file("/etc/os-release", b"ID=baseline\n")
+    app = FileTree()
+    app.add_dir("/opt")
+    app.add_file("/opt/app", b"\x7fELF app payload", mode=0o755)
+    cfg = FileTree()
+    cfg.add_file("/etc/app.conf", b"threads=4\n")
+    return [base, app, cfg]
+
+
 @dataclass
 class _Abort:
     fraction: float
@@ -109,10 +126,6 @@ class LocalRegistry:
             self._images[manifest.canonical()] = manifest
         return manifest
 
-    def remove_image(self, canonical: str) -> None:
-        with self._lock:
-            self._images.pop(canonical, None)
-
     def images(self) -> list[str]:
         with self._lock:
             return sorted(self._images)
@@ -135,12 +148,6 @@ class LocalRegistry:
             raise ValueError(f"unknown abort mode {mode!r}")
         with self._lock:
             self._aborts[digest] = _Abort(fraction=fraction, mode=mode, once=once)
-
-    def clear_faults(self) -> None:
-        with self._lock:
-            self._down = False
-            self._corrupt.clear()
-            self._aborts.clear()
 
     # -- fetch interface ------------------------------------------------------
 

@@ -29,12 +29,11 @@ class GatewayRuntime:
     pull chains run at once; everything else queues.
     """
 
-    def __init__(self, gateway: Gateway, sweep: bool = True):
+    def __init__(self, gateway: Gateway):
         self.gateway = gateway
         self._queue: queue.Queue = queue.Queue()
         self._threads: list[threading.Thread] = []
         self._stop_event = threading.Event()
-        self._sweep = sweep
         self._sweeper: threading.Thread | None = None
 
     def submit(self, task: PullTask) -> None:
@@ -49,10 +48,9 @@ class GatewayRuntime:
                                  daemon=True)
             t.start()
             self._threads.append(t)
-        if self._sweep:
-            self._sweeper = threading.Thread(target=self._sweeper_loop,
-                                             name="udi-sweeper", daemon=True)
-            self._sweeper.start()
+        self._sweeper = threading.Thread(target=self._sweeper_loop,
+                                         name="udi-sweeper", daemon=True)
+        self._sweeper.start()
 
     def stop(self) -> None:
         self._stop_event.set()

@@ -17,17 +17,19 @@ Layout, all integers little-endian:
     trailer    32 bytes, SHA-256 over every preceding byte
 
 Entries are sorted by path, so identical trees with identical metadata give
-bit-identical archives. Writers stream through a hashing wrapper and land on
-the final name via rename, a crashed writer leaves no partial archive behind.
+bit-identical archives. The writer takes the entry count up front, streams
+each entry through a hashing wrapper as it arrives, and lands on the final
+name via rename, so a crashed writer leaves no partial archive behind.
 
 open_udi reads an archive once, front to back, in windows of at most 1 MiB
 (a small archive in a single read), parses each header with precompiled
 structs and hashes every body byte exactly once, so memory stays bounded
 whatever the archive's size. It returns the descriptor and the file table,
-or raises UdiCorrupt with the reason. verify_udi and verify_udi_bytes wrap
-it and never raise: they report (ok, reason) and, on success, the trailer
-digest. Readers and mounters must gate on them. scan_udi makes the same
-walk without hashing and is for display only.
+or raises UdiCorrupt with the reason. verify_udi wraps it for a path or an
+in-memory image and never raises: it reports (ok, reason) and, on success,
+the trailer digest. Mounters gate on it; read_udi verifies in the same pass
+that loads the tree. scan_udi makes the same walk without hashing and is
+for display only.
 """
 from __future__ import annotations
 
@@ -101,14 +103,15 @@ def _metadata_bytes(created_at: float, source_ref: str, site_mods: Iterable[str]
 
 
 def write_udi_stream(dest_path: str, created_at: float, source_ref: str,
-                     site_mods: Iterable[str],
+                     site_mods: Iterable[str], count: int,
                      entries: Iterable[tuple[str, str, int, int, Iterable[bytes]]]) -> UdiDescriptor:
-    """Streaming writer. entries yields (path, kind, mode, content_len,
-    content_chunks) already sorted by path; chunks must total content_len.
-    Writes to a temp file in the destination directory and renames into
-    place, so a crash mid-write never leaves a partial archive at dest_path.
+    """Streaming writer. entries yields count tuples (path, kind, mode,
+    content_len, content_chunks), already sorted by path; chunks must total
+    content_len. Each entry is written as it arrives. Writes to a temp file
+    in the destination directory and renames into place, so a crash or a
+    StorageIoError (a wrong entry count or content length) never leaves a
+    partial archive at dest_path.
     """
-    entries = list(entries)
     meta = _metadata_bytes(created_at, source_ref, site_mods)
     if len(meta) > _META_LIMIT:
         raise StorageIoError("metadata block too large")
@@ -121,8 +124,10 @@ def write_udi_stream(dest_path: str, created_at: float, source_ref: str,
             w.write(struct.pack("<H", VERSION))
             w.write(struct.pack("<I", len(meta)))
             w.write(meta)
-            w.write(struct.pack("<I", len(entries)))
+            w.write(struct.pack("<I", count))
+            written = 0
             for path, kind, mode, content_len, chunks in entries:
+                written += 1
                 pb = path.encode("utf-8")
                 w.write(struct.pack("<H", len(pb)))
                 w.write(pb)
@@ -137,6 +142,8 @@ def write_udi_stream(dest_path: str, created_at: float, source_ref: str,
                 if fed != content_len:
                     raise StorageIoError(
                         f"entry {path}: declared {content_len} bytes, got {fed}")
+            if written != count:
+                raise StorageIoError(f"declared {count} entries, got {written}")
             digest = w.sha.digest()
             raw.write(digest)
             size = w.written + TRAILER_LEN
@@ -165,7 +172,7 @@ def _tree_entry_stream(tree: FileTree) -> Iterator[tuple[str, str, int, int, Ite
 
 def write_udi(tree: FileTree, dest_path: str, source_ref: str, created_at: float,
               site_mods: Iterable[str] = ()) -> UdiDescriptor:
-    return write_udi_stream(dest_path, created_at, source_ref, site_mods,
+    return write_udi_stream(dest_path, created_at, source_ref, site_mods, len(tree),
                             _tree_entry_stream(tree))
 
 
@@ -378,21 +385,17 @@ def open_udi(source: str | bytes) -> tuple[UdiDescriptor, list[UdiEntryInfo]]:
     return desc, [UdiEntryInfo(*e) for e in entries]
 
 
-def verify_udi(path: str) -> UdiCheck:
-    """Full integrity check of the archive at path, as open_udi. Never
-    raises; on success digest is the trailer hex."""
+def verify_udi(source: str | bytes) -> UdiCheck:
+    """Full integrity check of an archive (a path, or the image itself as
+    bytes), as open_udi. Never raises; on success digest is the trailer
+    hex."""
     try:
-        desc, _, _ = _open(path, hashing=True)
+        desc, _, _ = _open(source, hashing=True)
     except UdiCorrupt as exc:
         return UdiCheck(False, exc.reason, str(exc))
     except StorageIoError as exc:
         return UdiCheck(False, "io", str(exc))
     return UdiCheck(True, digest=desc.content_digest)
-
-
-def verify_udi_bytes(data: bytes) -> UdiCheck:
-    """verify_udi over an in-memory image, used by corruption sweeps."""
-    return verify_udi(data)
 
 
 def scan_udi(path: str) -> tuple[UdiDescriptor, list[UdiEntryInfo]]:
@@ -403,8 +406,9 @@ def scan_udi(path: str) -> tuple[UdiDescriptor, list[UdiEntryInfo]]:
 
 
 def read_udi(path: str) -> tuple[FileTree, UdiDescriptor]:
-    """Verify and load the whole tree into memory in one pass. For archives
-    too large to hold, use scan_udi + read_entry_content."""
+    """Verify and load the whole tree into memory in one pass. Raises
+    UdiCorrupt, with the reason and the path, if the archive does not
+    verify or cannot be read."""
     try:
         desc, entries, contents = _open(path, hashing=True, keep_content=True)
     except UdiCorrupt as exc:
@@ -420,16 +424,3 @@ def read_udi(path: str) -> tuple[FileTree, UdiDescriptor]:
         else:
             tree.set_entry(path, TreeEntry(KIND_DIR, mode))
     return tree, desc
-
-
-def read_entry_content(path: str, info: UdiEntryInfo, chunk_size: int = _WINDOW) -> Iterator[bytes]:
-    """Stream one entry's content without loading it whole."""
-    with open(path, "rb") as fh:
-        fh.seek(info.content_offset)
-        remaining = info.size
-        while remaining > 0:
-            chunk = fh.read(min(chunk_size, remaining))
-            if not chunk:
-                raise UdiCorrupt("truncated", info.path)
-            yield chunk
-            remaining -= len(chunk)

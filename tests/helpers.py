@@ -16,6 +16,7 @@ from udigate.filetree import (
 )
 
 NAME_POOL = ["a", "b", "c", "d", "e", "f"]
+OPAQUE_MARKER = ".wh..wh..opq"  # OCI: hide the lower contents of this dir
 FILE_MODES = [0o644, 0o600, 0o755, 0o640]
 DIR_MODES = [0o755, 0o750, 0o700, 0o775]
 
@@ -67,7 +68,10 @@ def random_layer(rng, max_entries: int = 8) -> FileTree:
         depth = rng.randrange(1, 4)
         parts = [rng.choice(NAME_POOL) for _ in range(depth)]
         if rng.random() < 0.25:
-            parts[-1] = WHITEOUT_PREFIX + rng.choice(NAME_POOL)
+            # the name "a" turns into an opaque marker, so the draws (and
+            # every later stack from the same seed) stay as they were
+            victim = rng.choice(NAME_POOL)
+            parts[-1] = OPAQUE_MARKER if victim == "a" else WHITEOUT_PREFIX + victim
             path = "/" + "/".join(parts)
             parent = posixpath.dirname(path)
             ok = True
@@ -118,7 +122,13 @@ def materialize_stack(layers, root: str) -> None:
         items = list(layer.items())
         for path, _e in items:
             base = posixpath.basename(path)
-            if base.startswith(WHITEOUT_PREFIX):
+            if base == OPAQUE_MARKER:
+                parts = path.lstrip("/").split("/")[:-1]
+                _ensure_parents(root, parts)
+                opaque_dir = os.path.join(root, *parts)
+                for name in os.listdir(opaque_dir):
+                    _rm(os.path.join(opaque_dir, name))
+            elif base.startswith(WHITEOUT_PREFIX):
                 victim = posixpath.join(posixpath.dirname(path),
                                         base[len(WHITEOUT_PREFIX):])
                 _rm(os.path.join(root, victim.lstrip("/")))

@@ -34,7 +34,7 @@ from udigate.cluster import MODE_DIRECTIVE, MODE_PER_COMMAND
 from udigate.config import Config
 from udigate.errors import CredentialExpired, MacMismatch
 from udigate.filetree import flatten, tree_to_blob
-from udigate.udi import read_udi, verify_udi_bytes, write_udi
+from udigate.udi import read_udi, verify_udi, write_udi
 
 SEED = 20260815
 SMALL_IMAGE = ("bench/app:small", 36_000_000)
@@ -206,7 +206,7 @@ def test_criterion_11_udi_roundtrip_and_corruption(tmp_path):
             positions = rng.sample(range(len(data)), 1000)
         for pos in positions:
             data[pos] ^= 0x41
-            if verify_udi_bytes(bytes(data)).ok:
+            if verify_udi(bytes(data)).ok:
                 missed_corruptions += 1
             data[pos] ^= 0x41
             positions_checked += 1

@@ -167,7 +167,7 @@ def ready_state_dir(fast_cfg, tmp_path):
     registry.add_image("team/app", "v1", [tiny_tree(), payload_tree()],
                        total_size=4096)
     gw = Gateway(fast_cfg, SystemClock(), registry, str(tmp_path / "state"))
-    runtime = GatewayRuntime(gw, sweep=False)
+    runtime = GatewayRuntime(gw)
     gw.task_sink = runtime.submit
     runtime.start()
     gw.pull(parse_reference("team/app:v1"))

@@ -154,6 +154,22 @@ def test_flatten_whiteout_removes_lower():
     assert "/data/.wh.drop" not in flat
 
 
+@pytest.mark.parametrize("marker,expected", [
+    ("/d/.wh..wh..opq", ["/d", "/d/new", "/top"]),
+    ("/.wh..wh..opq", ["/d", "/d/new"]),  # a marker at / clears every lower entry
+], ids=["dir", "root"])
+def test_flatten_opaque_whiteout_hides_lower_contents(marker, expected):
+    lower = FileTree()
+    lower.add_file("/d/old", b"o")
+    lower.add_file("/top", b"t")
+    upper = FileTree()
+    upper.add_dir("/d")
+    upper.add_file(marker, b"")
+    upper.add_file("/d/new", b"n")
+    flat = flatten([lower, upper])
+    assert flat.paths() == expected
+
+
 def test_flatten_whiteout_then_replace_same_layer():
     lower = FileTree()
     lower.add_dir("/d")

@@ -1,5 +1,6 @@
 """HTTP front ends over real sockets: routing, status mapping, JSON shapes."""
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -15,14 +16,10 @@ from udigate.authsvc import (
     issue_credential,
 )
 from udigate.clock import SystemClock
-from udigate.config import Config
-from udigate.filetree import flatten
 from udigate.gateway import Gateway
-from udigate.httpd import make_agent_server, make_gateway_server, make_registry_server
-from udigate.nodeagent import NodeAgent, ThreadedIdentityBackend
+from udigate.httpd import make_gateway_server, make_registry_server
 from udigate.registry import HttpRegistryClient, LocalRegistry
 from udigate.service import GatewayRuntime
-from udigate.udi import write_udi
 
 SECRET = b"httpd-test-secret"
 CLOCK = SystemClock()
@@ -68,7 +65,7 @@ def gw_rig(fast_cfg, tmp_path):
     verifier = CredentialVerifier(SECRET, fast_cfg.credential_ttl, CLOCK)
     gw = Gateway(fast_cfg, CLOCK, registry, str(tmp_path / "state"),
                  verifier=verifier)
-    runtime = GatewayRuntime(gw, sweep=False)
+    runtime = GatewayRuntime(gw)
     gw.task_sink = runtime.submit
     runtime.start()
     srv = make_gateway_server(gw)
@@ -144,6 +141,28 @@ def test_expire_requires_admin_scope(gw_rig):
     assert rec["state"] == "EXPIRED"
 
 
+def test_unexpected_error_is_json_500_and_keeps_connection(gw_rig, monkeypatch):
+    port, gw, _ = gw_rig
+
+    def broken_lookup(ref):
+        raise RuntimeError("lookup exploded")
+
+    monkeypatch.setattr(gw, "lookup", broken_lookup)
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        conn.request("GET", "/api/lookup/local/team/app:v1")
+        resp = conn.getresponse()
+        assert resp.status == 500
+        assert json.loads(resp.read()) == {"error": "RuntimeError",
+                                           "detail": "lookup exploded"}
+        conn.request("GET", "/api/list/local")  # same keep-alive connection
+        resp = conn.getresponse()
+        assert resp.status == 200
+        assert json.loads(resp.read()) == {"records": []}
+    finally:
+        conn.close()
+
+
 # -- registry ---------------------------------------------------------------------
 
 
@@ -200,104 +219,3 @@ def test_http_client_round_trip(reg_rig):
         client.fetch_manifest("team/ghost:v1")
     assert type(exc_info.value).__name__ == "RegistryUnknownImage"
 
-
-# -- node agent -------------------------------------------------------------------
-
-
-@pytest.fixture
-def agent_rig(tmp_path):
-    cfg = Config(identity_latency_mean=0.0)
-    verifier = CredentialVerifier(SECRET, cfg.credential_ttl, CLOCK)
-    identity = ThreadedIdentityBackend({1001: (100, 200)}, cap=8, timeout=2.0)
-    agent = NodeAgent(3, CLOCK, verifier, identity, cfg)
-    tree = flatten([tiny_tree(), payload_tree()])
-    udi_path = str(tmp_path / "app.udi")
-    write_udi(tree, udi_path, "team/app:v1", created_at=0.0)
-    srv = make_agent_server(agent)
-    port = serve(srv)
-    yield port, agent, udi_path
-    srv.shutdown()
-
-
-def test_resolve_over_http(agent_rig):
-    port, _, _ = agent_rig
-    code, doc = req(port, "GET", "/agent/resolve/1001")
-    assert code == 200
-    assert doc["uid"] == 1001
-    assert doc["gids"] == [100, 200]
-    assert doc["wait"] >= 0.0
-
-
-def test_resolve_unknown_uid_is_404(agent_rig):
-    port, agent, _ = agent_rig
-    code, err = req(port, "GET", "/agent/resolve/4242")
-    assert code == 404
-    assert err["error"] == "NotFound"
-    # second miss answers from the negative cache
-    code, err = req(port, "GET", "/agent/resolve/4242")
-    assert code == 404
-    assert "cached" in err["detail"]
-
-
-def test_mount_and_duplicate(agent_rig):
-    port, agent, udi_path = agent_rig
-    body = {"udi_path": udi_path, "job_id": "job-7"}
-    code, doc = req(port, "POST", "/agent/mount", body=body, cred=user_cred())
-    assert code == 200
-    assert doc["node_id"] == 3
-    assert doc["job_id"] == "job-7"
-    assert len(doc["digest"]) == 64
-    assert agent.state().mounts[0].digest == doc["digest"]
-
-    code, err = req(port, "POST", "/agent/mount", body=body, cred=user_cred())
-    assert code == 409
-    assert err["error"] == "AlreadyMounted"
-
-    code, doc2 = req(port, "POST", "/agent/unmount",
-                     body={"job_id": "job-7", "digest": doc["digest"]})
-    assert code == 200 and doc2["unmounted"] is True
-    code, doc2 = req(port, "POST", "/agent/unmount",
-                     body={"job_id": "job-7", "digest": doc["digest"]})
-    assert code == 200 and doc2["unmounted"] is False
-
-
-def test_mount_without_credential_is_401(agent_rig):
-    port, _, udi_path = agent_rig
-    code, err = req(port, "POST", "/agent/mount",
-                    body={"udi_path": udi_path, "job_id": "job-7"})
-    assert code == 401
-    assert err["error"] == "AuthError"
-
-
-def test_mount_with_auth_down_names_service(agent_rig):
-    port, _, udi_path = agent_rig
-    code, doc = req(port, "POST", "/agent/set_auth_up", body={"up": False})
-    assert code == 200 and doc["auth_up"] is False
-    code, err = req(port, "POST", "/agent/mount",
-                    body={"udi_path": udi_path, "job_id": "job-7"},
-                    cred=user_cred())
-    assert code == 401
-    assert err["error"] == "AuthServiceDown"
-    req(port, "POST", "/agent/set_auth_up", body={"up": True})
-
-
-def test_mount_corrupt_archive_is_409(agent_rig, tmp_path):
-    port, _, udi_path = agent_rig
-    data = bytearray(open(udi_path, "rb").read())
-    data[len(data) // 2] ^= 0x41
-    bad = str(tmp_path / "bad.udi")
-    with open(bad, "wb") as fh:
-        fh.write(bytes(data))
-    code, err = req(port, "POST", "/agent/mount",
-                    body={"udi_path": bad, "job_id": "job-8"}, cred=user_cred())
-    assert code == 409
-    assert err["error"] == "UdiCorrupt"
-
-
-def test_flush_cache_endpoint(agent_rig):
-    port, agent, _ = agent_rig
-    req(port, "GET", "/agent/resolve/1001")
-    assert len(agent.cache) == 1
-    code, doc = req(port, "POST", "/agent/flush_cache")
-    assert code == 200 and doc["flushed"] is True
-    assert len(agent.cache) == 0

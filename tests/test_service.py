@@ -13,13 +13,13 @@ from udigate.registry import LocalRegistry
 from udigate.service import GatewayRuntime
 
 
-def build(fast_cfg, tmp_path, sweep: bool = False, **cfg_kw):
+def build(fast_cfg, tmp_path, **cfg_kw):
     cfg = fast_cfg.replace(worker_pool_size=2, **cfg_kw)
     registry = LocalRegistry()
     registry.add_image("svc/app", "v1", [tiny_tree(), payload_tree()], total_size=4096)
     registry.add_image("svc/app", "v2", [payload_tree(b"two")], total_size=4096)
     gw = Gateway(cfg, SystemClock(), registry, str(tmp_path / "state"))
-    runtime = GatewayRuntime(gw, sweep=sweep)
+    runtime = GatewayRuntime(gw)
     gw.task_sink = runtime.submit
     return gw, runtime, registry
 
@@ -74,7 +74,7 @@ def test_silent_abort_leaves_record_transient(fast_cfg, tmp_path):
 
 
 def test_sweeper_thread_flips_wedged_record(fast_cfg, tmp_path):
-    gw, runtime, registry = build(fast_cfg, tmp_path, sweep=True,
+    gw, runtime, registry = build(fast_cfg, tmp_path,
                                   lease_duration=0.1, sweep_interval=0.05)
     digest = registry.fetch_manifest("svc/app:v1").layers[0]
     registry.set_abort(digest, fraction=0.5, mode="silent")

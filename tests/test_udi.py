@@ -17,13 +17,10 @@ from udigate.udi import (
     MIN_SIZE,
     TRAILER_LEN,
     UdiCheck,
-    UdiEntryInfo,
     open_udi,
-    read_entry_content,
     read_udi,
     scan_udi,
     verify_udi,
-    verify_udi_bytes,
     write_udi,
     write_udi_stream,
 )
@@ -113,7 +110,7 @@ def test_verify_missing_file():
 def test_verify_rejects_structural_damage(tmp_path, mangle, reason):
     desc = _write(payload_tree(), tmp_path / "a.udi")
     data = open(desc.path, "rb").read()
-    check = verify_udi_bytes(mangle(data))
+    check = verify_udi(mangle(data))
     assert not check.ok
     assert check.reason == reason
 
@@ -124,7 +121,7 @@ def test_every_single_byte_flip_detected(tmp_path):
     for pos in range(len(data)):
         orig = data[pos]
         data[pos] = orig ^ 0x41
-        assert not verify_udi_bytes(bytes(data)).ok, f"flip at {pos} not caught"
+        assert not verify_udi(bytes(data)).ok, f"flip at {pos} not caught"
         data[pos] = orig
 
 
@@ -152,40 +149,30 @@ def test_write_leaves_no_temp_on_failure(tmp_path):
     # chunks total less than the declared length: writer must clean up
     bad = [("/f", "file", 0o644, 10, (b"abc",))]
     with pytest.raises(StorageIoError):
-        write_udi_stream(str(tmp_path / "bad.udi"), 0.0, "r:t", (), bad)
+        write_udi_stream(str(tmp_path / "bad.udi"), 0.0, "r:t", (), 1, bad)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("declared", [1, 3], ids=["more-than-declared", "fewer-than-declared"])
+def test_writer_rejects_wrong_entry_count(tmp_path, declared):
+    def entries():
+        yield "/a", "file", 0o644, 1, (b"a",)
+        yield "/b", "file", 0o644, 1, (b"b",)
+    dest = tmp_path / "bad.udi"
+    with pytest.raises(StorageIoError, match="entries"):
+        write_udi_stream(str(dest), 0.0, "r:t", (), declared, entries())
+    assert not dest.exists()
     assert os.listdir(tmp_path) == []
 
 
 def test_streaming_writer_chunked_content(tmp_path):
     body = bytes(range(256)) * 64
     chunks = [body[i:i + 100] for i in range(0, len(body), 100)]
-    desc = write_udi_stream(str(tmp_path / "s.udi"), 5.0, "r:t", (),
+    desc = write_udi_stream(str(tmp_path / "s.udi"), 5.0, "r:t", (), 1,
                             [("/big", "file", 0o600, len(body), chunks)])
     tree, _ = read_udi(desc.path)
     assert tree.get("/big").content == body
     assert verify_udi(desc.path).ok
-
-
-def test_read_entry_content_streams(tmp_path):
-    body = b"0123456789" * 1000
-    t = FileTree()
-    t.add_file("/blob", body)
-    desc = _write(t, tmp_path / "a.udi")
-    _, infos = scan_udi(desc.path)
-    info = next(i for i in infos if i.path == "/blob")
-    got = b"".join(read_entry_content(desc.path, info, chunk_size=333))
-    assert got == body
-
-
-def test_read_entry_content_truncated_raises(tmp_path):
-    desc = _write(payload_tree(), tmp_path / "a.udi")
-    _, infos = scan_udi(desc.path)
-    info = next(i for i in infos if i.kind == "file")
-    fake = UdiEntryInfo(path=info.path, kind=info.kind, mode=info.mode,
-                        size=info.size + 10_000,
-                        content_offset=os.path.getsize(desc.path) - 5)
-    with pytest.raises(UdiCorrupt):
-        list(read_entry_content(desc.path, fake))
 
 
 def test_scan_does_not_hash(tmp_path):
@@ -225,7 +212,8 @@ def _straddling_archive(tmp_path):
             ("/c", "file", 0o644, 2 * _WINDOW + 3, (bytes(range(256)) * (2 * _WINDOW // 256), b"xyz")),
             ("/d", "symlink", 0o777, 2, (b"/c",)),
         ]
-        return write_udi_stream(str(tmp_path / "big.udi"), 1.0, "r:t", (), entries)
+        return write_udi_stream(str(tmp_path / "big.udi"), 1.0, "r:t", (), len(entries),
+                                entries)
     _, entries = open_udi(write(1).path)
     header_at = _WINDOW - 5
     desc = write(header_at - entries[0].content_offset)
@@ -275,4 +263,4 @@ def test_short_files_are_truncated_not_raised(tmp_path):
     for path in (empty, short):
         check = verify_udi(str(path))
         assert (check.ok, check.reason) == (False, "truncated")
-    assert verify_udi_bytes(b"").reason == "truncated"
+    assert verify_udi(b"").reason == "truncated"
