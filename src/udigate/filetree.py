@@ -20,6 +20,12 @@ real filesystem does (the property tests check exactly that):
     anything) removes the old subtree first
   * missing parents are created as dirs (mode 0o755); a parent that exists
     as a non-dir is replaced by a dir
+
+A tree keeps its paths in a sorted list beside the entry map, built on the
+first ordered read or subtree removal and kept in step after that. A path's
+subtree is one contiguous run of that list, so removing it costs
+O(log n + subtree) rather than a scan of all n entries, and ordered reads
+do not sort again.
 """
 from __future__ import annotations
 
@@ -27,6 +33,7 @@ import base64
 import hashlib
 import json
 import posixpath
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, Optional
@@ -108,13 +115,22 @@ class FileTree:
 
     def __init__(self, entries: Optional[dict[str, TreeEntry]] = None):
         self._entries: dict[str, TreeEntry] = {}
+        self._keys: Optional[list[str]] = None  # sorted paths, once first needed
         if entries:
             for p, e in entries.items():
                 self.set_entry(p, e)
 
+    def _sorted_keys(self) -> list[str]:
+        if self._keys is None:
+            self._keys = sorted(self._entries)
+        return self._keys
+
     def set_entry(self, path: str, entry: TreeEntry) -> None:
         path = normalize_path(path)
-        self._entries[path] = _check_entry(path, entry)
+        entry = _check_entry(path, entry)
+        if self._keys is not None and path not in self._entries:
+            insort(self._keys, path)
+        self._entries[path] = entry
 
     def add_file(self, path: str, content: bytes = b"", mode: int = DEFAULT_FILE_MODE) -> None:
         self.set_entry(path, TreeEntry(KIND_FILE, mode, content))
@@ -138,25 +154,39 @@ class FileTree:
         return isinstance(other, FileTree) and self._entries == other._entries
 
     def paths(self) -> list[str]:
-        return sorted(self._entries)
+        return list(self._sorted_keys())
 
     def items(self) -> Iterator[tuple[str, TreeEntry]]:
-        for p in sorted(self._entries):
-            yield p, self._entries[p]
+        entries = self._entries
+        for p in self._sorted_keys():
+            yield p, entries[p]
 
     def copy(self) -> "FileTree":
         t = FileTree()
         t._entries = dict(self._entries)
+        t._keys = None if self._keys is None else list(self._keys)
         return t
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self._keys = None
 
     def remove_subtree(self, path: str) -> int:
         """Drop path and everything under it. Returns entries removed."""
         path = normalize_path(path)
-        prefix = path if path.endswith("/") else path + "/"
-        doomed = [p for p in self._entries if p == path or p.startswith(prefix)]
-        for p in doomed:
+        keys = self._sorted_keys()
+        # Below path sorts from path + "/" up to path + "0" ("0" follows "/");
+        # siblings such as path + "-b" sort before that run and are kept.
+        lo = bisect_left(keys, path + "/")
+        hi = bisect_left(keys, path + "0", lo)
+        for p in keys[lo:hi]:
             del self._entries[p]
-        return len(doomed)
+        del keys[lo:hi]
+        removed = hi - lo
+        if self._entries.pop(path, None) is not None:
+            del keys[bisect_left(keys, path)]
+            removed += 1
+        return removed
 
     def validate(self) -> None:
         """Check parent-kind consistency: a present ancestor must be a dir."""
@@ -253,7 +283,7 @@ def _make_opaque(result: FileTree, marker: str) -> None:
     """Hide every lower entry below the marker's dir, which stays a dir."""
     parent = posixpath.dirname(marker)
     if parent == "/":
-        result._entries.clear()
+        result.clear()
         return
     _ensure_parent_dirs(result, marker)
     kept = result.get(parent)

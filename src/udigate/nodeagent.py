@@ -140,7 +140,6 @@ class NodeAgent:
         self.cache_hits = 0
         self.cache_misses = 0
         self.mounts_done = 0
-        self.unmounts_done = 0
 
     # -- control messages ------------------------------------------------------
 
@@ -222,7 +221,6 @@ class NodeAgent:
         if handle is None:
             log.debug("%s: unmount of absent (%s, %s)", self.name, job_id, digest[:12])
             return False
-        self.unmounts_done += 1
         self._trace("unmount", [("job", job_id), ("digest", digest[:12])])
         return True
 

@@ -112,6 +112,7 @@ def write_udi_stream(dest_path: str, created_at: float, source_ref: str,
     StorageIoError (a wrong entry count or content length) never leaves a
     partial archive at dest_path.
     """
+    site_mods = tuple(site_mods)
     meta = _metadata_bytes(created_at, source_ref, site_mods)
     if len(meta) > _META_LIMIT:
         raise StorageIoError("metadata block too large")
@@ -156,7 +157,7 @@ def write_udi_stream(dest_path: str, created_at: float, source_ref: str,
             os.unlink(tmp)
     return UdiDescriptor(path=dest_path, content_digest=digest.hex(), size_bytes=size,
                          created_at=created_at, source_ref=source_ref,
-                         site_mods=tuple(site_mods))
+                         site_mods=site_mods)
 
 
 def _tree_entry_stream(tree: FileTree) -> Iterator[tuple[str, str, int, int, Iterable[bytes]]]:

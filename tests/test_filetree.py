@@ -8,16 +8,22 @@ agreement with the pure-tree implementation.
 import base64
 import hashlib
 import json
+import posixpath
 import random
+import time
 
 import pytest
 
 from helpers import materialize_stack, random_stack, read_back_tree, tiny_tree
 from udigate.errors import EmptyLayerList, MalformedLayer, ModConflict
 from udigate.filetree import (
+    DEFAULT_DIR_MODE,
+    OPAQUE_WHITEOUT,
+    WHITEOUT_PREFIX,
     FileTree,
     SiteConfig,
     SiteMod,
+    TreeEntry,
     apply_site_mods,
     blob_digest,
     default_site_config,
@@ -62,10 +68,12 @@ def test_remove_subtree_counts():
     t.add_dir("/a")
     t.add_file("/a/x", b"")
     t.add_file("/a/y", b"")
-    t.add_file("/ab", b"")  # sibling with common prefix must survive
+    # siblings with a common prefix must survive, including those that sort
+    # between /a and /a/x ("-", ".", " " come before "/", "0" right after)
+    for sibling in ("/ab", "/a-b", "/a.c", "/a 1", "/a0"):
+        t.add_file(sibling, b"")
     assert t.remove_subtree("/a") == 3
-    assert "/ab" in t
-    assert len(t) == 1
+    assert t.paths() == ["/a 1", "/a-b", "/a.c", "/a0", "/ab"]
 
 
 def test_validate_catches_file_ancestor():
@@ -229,6 +237,155 @@ def test_flatten_matches_filesystem_oracle(seed, tmp_path):
         materialize_stack(layers, str(root))
         oracle = read_back_tree(str(root))
         assert tree_to_blob(flatten(layers)) == tree_to_blob(oracle)
+
+
+# -- the sorted path index ----------------------------------------------------------
+#
+# FileTree keeps a sorted key list beside its entry map. These tests replay
+# random operations against plain dicts whose removals scan every key, so a
+# stale or misordered index shows as a wrong count, entry or order.
+
+# "-", ".", " " sort before "/" and "0" right after it, so these names sit on
+# both sides of every subtree's run in the sorted key list
+INDEX_SEGMENTS = ["a", "a-b", "a.c", "a 1", "a0", "ab", "x"]
+
+
+def _dict_remove(d, path):
+    doomed = [p for p in d if p == path or p.startswith(path + "/")]
+    for p in doomed:
+        del d[p]
+    return len(doomed)
+
+
+def _dict_parents(d, path):
+    parts = path.split("/")[1:-1]
+    for i in range(1, len(parts) + 1):
+        p = "/" + "/".join(parts[:i])
+        e = d.get(p)
+        if e is None or e.kind != "dir":
+            _dict_remove(d, p)
+            d[p] = TreeEntry("dir", DEFAULT_DIR_MODE)
+
+
+def _dict_flatten(layers):
+    d = {}
+    for layer in layers:
+        for p in sorted(layer):
+            base = posixpath.basename(p)
+            if base == OPAQUE_WHITEOUT:
+                parent = posixpath.dirname(p)
+                if parent == "/":
+                    d.clear()
+                    continue
+                _dict_parents(d, p)
+                kept = d[parent]
+                _dict_remove(d, parent)
+                d[parent] = kept
+            elif base.startswith(WHITEOUT_PREFIX):
+                _dict_remove(d, posixpath.join(posixpath.dirname(p), base[len(WHITEOUT_PREFIX):]))
+        for p in sorted(layer):
+            if posixpath.basename(p).startswith(WHITEOUT_PREFIX):
+                continue
+            _dict_parents(d, p)
+            old, new = d.get(p), layer[p]
+            if old is not None and not (old.kind == new.kind == "dir"):
+                _dict_remove(d, p)
+            d[p] = new
+    return d
+
+
+def _index_path(rng):
+    return "/" + "/".join(rng.choice(INDEX_SEGMENTS) for _ in range(rng.randrange(1, 4)))
+
+
+def _index_entry(rng):
+    kind = rng.choice(("file", "file", "dir", "symlink"))
+    if kind == "file":
+        return TreeEntry("file", 0o644, bytes([rng.randrange(256)]))
+    if kind == "dir":
+        return TreeEntry("dir", rng.choice((0o755, 0o700)))
+    return TreeEntry("symlink", 0o777, b"", rng.choice(INDEX_SEGMENTS))
+
+
+def _upper_layer(rng):
+    layer = {}
+    for _ in range(rng.randrange(1, 8)):
+        path = _index_path(rng)
+        roll = rng.random()
+        if roll < 0.2:
+            path = posixpath.join(posixpath.dirname(path), WHITEOUT_PREFIX + posixpath.basename(path))
+            layer[path] = TreeEntry("file", 0o644)
+        elif roll < 0.3:
+            layer[posixpath.join(posixpath.dirname(path), OPAQUE_WHITEOUT)] = TreeEntry("file", 0o644)
+        else:
+            layer[path] = _index_entry(rng)
+    return layer
+
+
+def _index_step(rng, tree, oracle):
+    roll = rng.random()
+    if roll < 0.45:
+        path, entry = _index_path(rng), _index_entry(rng)
+        tree.set_entry(path, entry)
+        oracle[path] = entry
+    elif roll < 0.75:
+        path = _index_path(rng)
+        assert tree.remove_subtree(path) == _dict_remove(oracle, path)
+    elif roll < 0.9:
+        twin, twin_oracle = tree.copy(), dict(oracle)
+        before = list(tree.items())
+        for _ in range(rng.randrange(1, 4)):
+            _index_step(rng, twin, twin_oracle)
+        assert list(tree.items()) == before
+        assert list(twin.items()) == sorted(twin_oracle.items())
+        if rng.random() < 0.5:
+            return twin, twin_oracle
+    else:
+        upper = _upper_layer(rng)
+        tree = flatten([tree, FileTree(upper)])
+        oracle = _dict_flatten([oracle, upper])
+    return tree, oracle
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_index_matches_dict_oracle(seed):
+    rng = random.Random(5000 + seed)
+    for _ in range(40):
+        tree, oracle = FileTree(), {}
+        for _ in range(40):
+            tree, oracle = _index_step(rng, tree, oracle)
+            assert list(tree.items()) == sorted(oracle.items())
+            assert tree.paths() == sorted(oracle)
+            assert len(tree) == len(oracle)
+
+
+def _whiteout_stack(whiteouts):
+    base = FileTree()
+    for d in range(100):
+        base.add_dir(f"/d{d:03}")
+        for f in range(200):
+            base.add_file(f"/d{d:03}/f{f:03}")
+    upper = FileTree()
+    for i in range(whiteouts):
+        d, f = divmod(i * 7919 % 20000, 200)
+        upper.add_file(f"/d{d:03}/{WHITEOUT_PREFIX}f{f:03}")
+    return [base, upper]
+
+
+def test_flatten_time_does_not_grow_with_whiteouts():
+    few, many = _whiteout_stack(100), _whiteout_stack(2000)
+    assert len(flatten(few)) - len(flatten(many)) == 1900
+
+    def best(layers):
+        times = []
+        for _ in range(2):
+            start = time.perf_counter()
+            flatten(layers)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    # a scan of every entry per whiteout makes this ratio grow with the count
+    assert best(many) < 3 * best(few)
 
 
 # -- site modification ------------------------------------------------------------

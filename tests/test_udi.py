@@ -51,6 +51,13 @@ def test_descriptor_fields(tmp_path):
     assert bytes.fromhex(desc.content_digest) == hashlib.sha256(data[:-TRAILER_LEN]).digest()
 
 
+def test_site_mods_from_a_generator(tmp_path):
+    desc = write_udi(tiny_tree(), str(tmp_path / "a.udi"), "r/n:t", 0.0,
+                     site_mods=(m for m in ["inject_file:/etc/x"]))
+    assert desc.site_mods == ("inject_file:/etc/x",)
+    assert scan_udi(desc.path)[0].site_mods == desc.site_mods
+
+
 def test_identical_inputs_identical_bytes(tmp_path):
     d1 = _write(tiny_tree(), tmp_path / "a.udi")
     d2 = _write(tiny_tree(), tmp_path / "b.udi")
