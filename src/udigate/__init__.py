@@ -14,21 +14,18 @@ from .authsvc import (
     credential_from_wire,
     credential_to_wire,
     issue_credential,
-    verify_credential,
 )
-from .bench import BenchRow, ScalingReport, bench_startup, classify_scaling, read_rows, write_rows
-from .chaos import SCENARIO_NAMES, ScenarioReport, run_all, run_scenario
+from .bench import bench_startup, classify_scaling, read_rows, write_rows
+from .chaos import run_all, run_scenario
 from .clock import SystemClock, Tracer, VirtualClock
 from .cluster import (
     ClusterSim,
     JobCommand,
-    JobResult,
     JobSpec,
     derive_seed,
     parse_job_file,
-    validate_spec,
 )
-from .config import Config, load_config, parse_config
+from .config import Config, load_config
 from .errors import (
     AuthError,
     AuthServiceDown,
@@ -51,11 +48,11 @@ from .errors import (
     UnknownScenario,
     VerifyError,
 )
-from .filetree import FileTree, SiteConfig, SiteMod, apply_site_mods, flatten, parse_site_file
+from .filetree import FileTree, SiteConfig, apply_site_mods, flatten
 from .gateway import Gateway, ImageRecord, ImageState, PullTask
-from .nodeagent import GroupCache, IdentityBackend, NodeAgent
+from .nodeagent import IdentityBackend, NodeAgent
 from .refs import ImageReference, parse_reference
-from .registry import HttpRegistryClient, LocalRegistry, Manifest
+from .registry import HttpRegistryClient, LocalRegistry
 from .store import RecordLog, load_entries
 from .udi import UdiDescriptor, read_udi, scan_udi, verify_udi, write_udi
 
@@ -64,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AuthError",
     "AuthServiceDown",
-    "BenchRow",
     "ClusterSim",
     "Config",
     "ConversionError",
@@ -73,7 +69,6 @@ __all__ = [
     "CredentialVerifier",
     "FileTree",
     "Gateway",
-    "GroupCache",
     "HttpRegistryClient",
     "IdentityBackend",
     "IdentityTimeout",
@@ -85,12 +80,10 @@ __all__ = [
     "InvalidReference",
     "InvalidSpec",
     "JobCommand",
-    "JobResult",
     "JobSpec",
     "LeaseRevoked",
     "LocalRegistry",
     "MacMismatch",
-    "Manifest",
     "MissingGres",
     "NodeAgent",
     "NotFound",
@@ -99,11 +92,7 @@ __all__ = [
     "PullTask",
     "RecordLog",
     "RegistryError",
-    "SCENARIO_NAMES",
-    "ScalingReport",
-    "ScenarioReport",
     "SiteConfig",
-    "SiteMod",
     "StorageIoError",
     "SystemClock",
     "Tracer",
@@ -123,17 +112,13 @@ __all__ = [
     "issue_credential",
     "load_config",
     "load_entries",
-    "parse_config",
     "parse_job_file",
     "parse_reference",
-    "parse_site_file",
     "read_rows",
     "read_udi",
     "run_all",
     "run_scenario",
     "scan_udi",
-    "validate_spec",
-    "verify_credential",
     "verify_udi",
     "write_rows",
     "write_udi",

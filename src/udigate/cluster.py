@@ -32,12 +32,11 @@ from typing import Callable, Optional
 from .authsvc import Credential, CredentialVerifier, issue_credential
 from .clock import Tracer, VirtualClock, fmt_time
 from .config import Config
-from .errors import (InvalidSpec, LeaseRevoked, MissingGres, NotFound,
-                     UdigateError)
+from .errors import InvalidSpec, MissingGres, UdigateError
 from .gateway import Gateway, ImageRecord, ImageState, PullTask
 from .nodeagent import IdentityBackend, NodeAgent
 from .refs import ImageReference, parse_reference
-from .registry import LocalRegistry, SilentAbort
+from .registry import LocalRegistry
 from .udi import UdiDescriptor, scan_udi
 
 log = logging.getLogger(__name__)
@@ -254,44 +253,20 @@ class ClusterSim:
             self.max_active_chains = max(self.max_active_chains, self._active_chains)
             chain_id = self._chain_seq
             self._chain_seq += 1
-            self._advance_chain(chain_id, task, self.gateway.run_pull(task))
+            self._advance_chain(chain_id, self.gateway.run_pull(task))
 
-    def _advance_chain(self, chain_id: int, task: PullTask, gen) -> None:
-        try:
-            step = next(gen)
-        except StopIteration:
-            self._finish_chain(chain_id)
+    def _advance_chain(self, chain_id: int, pull) -> None:
+        step = next(pull, None)
+        if step is None:
+            self._active_chains -= 1
+            self._pump_workers()
             return
 
         def fire():
             self._chain_events.pop(chain_id, None)
-            try:
-                step.run()
-            except SilentAbort:
-                # the worker just died; nothing reports anything
-                self.tracer.emit(self.clock.now(), "worker", "silent_death",
-                                 [("ref", task.ref.canonical()), ("step", step.kind)])
-                self._finish_chain(chain_id)
-                return
-            except LeaseRevoked:
-                self.tracer.emit(self.clock.now(), "worker", "lease_revoked",
-                                 [("ref", task.ref.canonical()), ("step", step.kind)])
-                self._finish_chain(chain_id)
-                return
-            except UdigateError as exc:
-                self.gateway.fail_task(task, exc)
-                self.tracer.emit(self.clock.now(), "worker", "task_failed",
-                                 [("ref", task.ref.canonical()), ("step", step.kind),
-                                  ("err", type(exc).__name__)])
-                self._finish_chain(chain_id)
-                return
-            self._advance_chain(chain_id, task, gen)
+            self._advance_chain(chain_id, pull)
 
-        self._chain_events[chain_id] = self.clock.schedule(step.cost, fire)
-
-    def _finish_chain(self, chain_id: int) -> None:
-        self._active_chains -= 1
-        self._pump_workers()
+        self._chain_events[chain_id] = self.clock.schedule(step[1], fire)
 
     # -- lease sweeper ------------------------------------------------------------
 

@@ -2,10 +2,14 @@
 
 Config files are flat ``key = value`` lines, ``#`` comments allowed. Unknown
 keys are rejected loudly, typo-ing a tunable should never pass silently.
+Out-of-range values are rejected too, however the Config is built: a zero
+heartbeat or a negative bandwidth would otherwise surface as a crash deep
+inside a pull.
 """
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidSpec
@@ -47,8 +51,29 @@ class Config:
     poll_interval: float = 1.0
     command_duration: float = 1.0
 
+    def __post_init__(self) -> None:
+        for name in _POSITIVE + _NON_NEGATIVE:
+            value = getattr(self, name)
+            positive = name in _POSITIVE
+            if not math.isfinite(value) or value < 0 or (positive and value == 0):
+                bound = "> 0" if positive else ">= 0"
+                raise InvalidSpec(f"config {name} = {value!r}: must be finite and {bound}")
+
     def replace(self, **kw) -> "Config":
         return dataclasses.replace(self, **kw)
+
+
+# divisors, pool sizes and lifetimes: zero would divide by zero, start no
+# worker, or expire everything on arrival
+_POSITIVE = ("lease_duration", "heartbeat_interval", "sweep_interval",
+             "worker_pool_size", "max_attempts", "credential_ttl",
+             "registry_bandwidth", "convert_bandwidth", "identity_cap",
+             "poll_interval")
+# latencies, jitters and costs, where 0 means "free"
+_NON_NEGATIVE = ("manifest_latency", "cache_ttl", "mount_base_latency",
+                 "mount_jitter_mean", "unmount_cost", "rank_attach_cost",
+                 "identity_timeout", "identity_latency_mean",
+                 "identity_latency_jitter", "command_duration")
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(Config)}

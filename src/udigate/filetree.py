@@ -389,44 +389,6 @@ def apply_site_mods(tree: FileTree, site: SiteConfig) -> FileTree:
     return out
 
 
-def parse_site_file(text: str) -> SiteConfig:
-    """Site config grammar, one directive per line:
-
-        inject_file PATH MODE BASE64CONTENT
-        make_dir PATH [MODE]
-        remove_path PATH
-        append_env KEY VALUE
-        cleanup COMMAND...
-    """
-    mods: list[SiteMod] = []
-    cleanup: list[str] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        op, _, rest = line.partition(" ")
-        args = rest.split()
-        try:
-            if op == "inject_file":
-                path, mode, b64 = args[0], int(args[1], 8), args[2] if len(args) > 2 else ""
-                mods.append(SiteMod("inject_file", path=path, mode=mode,
-                                    content=base64.b64decode(b64)))
-            elif op == "make_dir":
-                mode = int(args[1], 8) if len(args) > 1 else DEFAULT_DIR_MODE
-                mods.append(SiteMod("make_dir", path=args[0], mode=mode))
-            elif op == "remove_path":
-                mods.append(SiteMod("remove_path", path=args[0]))
-            elif op == "append_env":
-                mods.append(SiteMod("append_env", key=args[0], value=args[1] if len(args) > 1 else ""))
-            elif op == "cleanup":
-                cleanup.append(rest.strip())
-            else:
-                raise ValueError(f"unknown directive {op!r}")
-        except (IndexError, ValueError) as exc:
-            raise ModConflict(f"site config line {lineno}: {exc}") from exc
-    return SiteConfig(mods=tuple(mods), cleanup_commands=tuple(cleanup))
-
-
 def default_site_config() -> SiteConfig:
     """The stock site policy: resolver and environment glue plus a scratch
     mount point, roughly what a site prepares before images go live."""

@@ -37,9 +37,10 @@ from typing import Callable, Iterator, Optional
 from .authsvc import Credential, Principal
 from .config import Config
 from .errors import (AuthError, IllegalTransition, LeaseRevoked, NotFound,
-                     VerifyError)
+                     UdigateError, VerifyError)
 from .filetree import SiteConfig, apply_site_mods, default_site_config, flatten, tree_from_blob
 from .refs import ImageReference
+from .registry import SilentAbort
 from .udi import verify_udi, write_udi
 
 log = logging.getLogger(__name__)
@@ -131,14 +132,6 @@ class PullTask:
     attempt: int
 
 
-@dataclass(frozen=True)
-class PullStep:
-    """One unit of pipeline work: run() after waiting cost virtual seconds."""
-    kind: str
-    cost: float
-    run: Callable[[], None]
-
-
 # (key, old_state, new_state, snapshot, verified); old None on record
 # creation, new None on record removal
 AuditHook = Callable[[str, Optional[ImageState], Optional[ImageState], ImageRecord, bool], None]
@@ -195,9 +188,9 @@ class Gateway:
             return f"{self._rng.getrandbits(64):016x}"
         return secrets.token_hex(8)
 
-    def _trace(self, event: str, details) -> None:
+    def _trace(self, event: str, details, entity: str = "gateway") -> None:
         if self.tracer is not None:
-            self.tracer.emit(self.clock.now(), "gateway", event, details)
+            self.tracer.emit(self.clock.now(), entity, event, details)
 
     def _persist(self, rec: ImageRecord) -> None:
         self._log.append({"op": "put", "key": rec.ref.key(), "record": rec.to_store_dict()})
@@ -418,64 +411,75 @@ class Gateway:
         suffix = hashlib.sha256(ref.key().encode("utf-8")).hexdigest()[:8]
         return os.path.join(self.udi_dir, f"{safe}-{suffix}.udi")
 
-    def run_pull(self, task: PullTask) -> Iterator[PullStep]:
-        """The pull pipeline as a lazy sequence of costed steps.
+    def run_pull(self, task: PullTask) -> Iterator[tuple[str, float]]:
+        """Run one pull task as a sequence of costed steps, and end it.
 
-        Drivers run each step's run() after charging its cost (virtual
-        drivers advance the clock, the threaded runtime just executes).
-        next() must only be called after the previous step ran: step
-        bodies feed the closures that later steps are built from.
+        Yields ``(kind, cost)`` before each step; resuming the generator
+        runs that step. Drivers only charge the cost: the simulator waits
+        that many virtual seconds, the threaded runtime resumes at once.
+        The generator ends the chain itself: a silent worker death leaves
+        the record for the sweeper, a lost lease abandons the task, and any
+        other UdigateError fails the record. Each of the three emits one
+        ``worker`` trace event naming the step it hit. Other exceptions
+        propagate to the driver.
         """
+        try:
+            for kind, cost in self._pull_steps(task):
+                yield kind, cost
+            return
+        except SilentAbort:
+            log.debug("worker silently aborted %s", task.ref.canonical())
+            event, extra = "silent_death", []
+        except LeaseRevoked:
+            log.info("lease lost for %s, abandoning task", task.ref.canonical())
+            event, extra = "lease_revoked", []
+        except UdigateError as exc:
+            self.fail_task(task, exc)
+            event, extra = "task_failed", [("err", type(exc).__name__)]
+        self._trace(event, [("ref", task.ref.canonical()), ("step", kind)] + extra,
+                    entity="worker")
+
+    def _pull_steps(self, task: PullTask) -> Iterator[tuple[str, float]]:
+        """The pipeline in order; the code after each yield is its step."""
         cfg = self.config
-        ctx: dict = {}
+        yield "claim", 0.0
+        self.claim(task)
 
-        yield PullStep("claim", 0.0, lambda: self.claim(task))
+        yield "fetch_manifest", cfg.manifest_latency
+        manifest = self.registry.fetch_manifest(task.ref.canonical())
+        self.renew_lease(task)
 
-        def fetch_manifest():
-            ctx["manifest"] = self.registry.fetch_manifest(task.ref.canonical())
-            self.renew_lease(task)
-        yield PullStep("fetch_manifest", cfg.manifest_latency, fetch_manifest)
-
-        manifest = ctx["manifest"]
         blobs: dict[str, bytes] = {}
-        per_layer = manifest.total_size / len(manifest.layers)
+        layer_cost = manifest.total_size / len(manifest.layers) / cfg.registry_bandwidth
+        chunks = max(1, math.ceil(layer_cost / cfg.heartbeat_interval))
         for digest in manifest.layers:
-            layer_cost = per_layer / cfg.registry_bandwidth
-            chunks = max(1, math.ceil(layer_cost / cfg.heartbeat_interval))
             for i in range(1, chunks + 1):
-                def transfer(d=digest, frac=i / chunks, last=(i == chunks)):
-                    self.registry.transfer_tick(d, frac)
-                    if last:
-                        blobs[d] = self.registry.fetch_layer(d)
-                    self.renew_lease(task)
-                yield PullStep("transfer", layer_cost / chunks, transfer)
+                yield "transfer", layer_cost / chunks
+                self.registry.transfer_tick(digest, i / chunks)
+                if i == chunks:
+                    blobs[digest] = self.registry.fetch_layer(digest)
+                self.renew_lease(task)
 
-        def do_flatten():
-            # pop: each blob is dropped as soon as its tree is decoded
-            trees = [tree_from_blob(blobs.pop(d)) for d in manifest.layers]
-            ctx["flat"] = flatten(trees)
-            self.begin_convert(task, ctx["flat"].digest())
-        yield PullStep("flatten", 0.0, do_flatten)
+        yield "flatten", 0.0
+        # pop: each blob is dropped as soon as its tree is decoded
+        flat = flatten([tree_from_blob(blobs.pop(d)) for d in manifest.layers])
+        self.begin_convert(task, flat.digest())
 
         convert_cost = manifest.total_size / cfg.convert_bandwidth
         conv_chunks = max(1, math.ceil(convert_cost / cfg.heartbeat_interval))
-        for _ in range(conv_chunks - 1):
-            yield PullStep("convert", convert_cost / conv_chunks,
-                           lambda: self.renew_lease(task))
-
-        def finalize():
+        for _ in range(conv_chunks):
+            yield "convert", convert_cost / conv_chunks
             self.renew_lease(task)
-            modified = apply_site_mods(ctx["flat"], self.site)
-            dest = self._udi_dest(task.ref)
-            desc = write_udi(modified, dest, source_ref=task.ref.canonical(),
-                             created_at=self.clock.now(),
-                             site_mods=[m.summary() for m in self.site.mods])
+
+        modified = apply_site_mods(flat, self.site)
+        desc = write_udi(modified, self._udi_dest(task.ref),
+                         source_ref=task.ref.canonical(), created_at=self.clock.now(),
+                         site_mods=[m.summary() for m in self.site.mods])
+        try:
+            self.complete(task, desc.path)
+        except Exception:
             try:
-                self.complete(task, desc.path)
-            except Exception:
-                try:
-                    os.unlink(desc.path)
-                except OSError:
-                    pass
-                raise
-        yield PullStep("convert", convert_cost / conv_chunks, finalize)
+                os.unlink(desc.path)
+            except OSError:
+                pass
+            raise

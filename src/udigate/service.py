@@ -1,9 +1,11 @@
 """Wall-clock runtime around the gateway: worker pool plus lease sweeper.
 
 The simulator drives pull chains on a virtual clock; this module is the
-real-time counterpart used by the CLI daemon.  Step costs are modeling
-artifacts, so workers execute steps back to back and let actual registry
-I/O set the pace.
+real-time counterpart used by the CLI daemon. ``Gateway.run_pull`` ends
+each chain itself (silent death, lost lease or failure), so a worker only
+resumes it step after step: step costs are modelling artifacts, and actual
+registry I/O sets the pace. Any other exception fails the task's record,
+and the worker lives on to take the next task.
 """
 
 from __future__ import annotations
@@ -12,9 +14,7 @@ import logging
 import queue
 import threading
 
-from .errors import LeaseRevoked, UdigateError
 from .gateway import Gateway, PullTask
-from .registry import SilentAbort
 
 log = logging.getLogger(__name__)
 
@@ -75,25 +75,13 @@ class GatewayRuntime:
             try:
                 if task is _STOP:
                     return
-                self._run_task(task)
+                for _ in self.gateway.run_pull(task):
+                    pass
+            except Exception as exc:
+                log.exception("unexpected worker error for %s", task.ref.canonical())
+                self.gateway.fail_task(task, exc)
             finally:
                 self._queue.task_done()
-
-    def _run_task(self, task: PullTask) -> None:
-        try:
-            for step in self.gateway.run_pull(task):
-                step.run()
-        except SilentAbort:
-            # fault injection: the worker dies without reporting anything,
-            # leaving the record for the sweeper
-            log.debug("worker silently aborted %s", task.ref.canonical())
-        except LeaseRevoked:
-            log.info("lease lost for %s, abandoning task", task.ref.canonical())
-        except UdigateError as exc:
-            self.gateway.fail_task(task, exc)
-        except Exception as exc:  # pragma: no cover - defensive
-            log.exception("unexpected worker error for %s", task.ref.canonical())
-            self.gateway.fail_task(task, exc)
 
     def _sweeper_loop(self) -> None:
         interval = self.gateway.config.sweep_interval

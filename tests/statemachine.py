@@ -12,7 +12,7 @@ import shutil
 import tempfile
 
 from udigate.clock import VirtualClock
-from udigate.errors import LeaseRevoked, NotFound, UdigateError
+from udigate.errors import NotFound
 from udigate.filetree import FileTree
 from udigate.gateway import ALLOWED_TRANSITIONS, Gateway, ImageState
 from udigate.refs import parse_reference
@@ -72,25 +72,19 @@ class SequenceRunner:
     def op_pull(self) -> None:
         self.gateway.pull(self.rng.choice(self.refs))
         for task in self.gateway.pending_tasks:
-            self.chains.append({"task": task, "gen": self.gateway.run_pull(task)})
+            pull = self.gateway.run_pull(task)
+            self.chains.append({"pull": pull, "next": next(pull)})
         self.gateway.pending_tasks.clear()
 
     def op_step(self) -> None:
+        """Charge the announced step's cost, then run it."""
         if not self.chains:
             return
         chain = self.rng.choice(self.chains)
-        try:
-            step = next(chain["gen"])
-        except StopIteration:
-            self.chains.remove(chain)
-            return
-        self.clock.advance(step.cost)
-        try:
-            step.run()
-        except LeaseRevoked:
-            self.chains.remove(chain)
-        except UdigateError as exc:
-            self.gateway.fail_task(chain["task"], exc)
+        _, cost = chain["next"]
+        self.clock.advance(cost)
+        chain["next"] = next(chain["pull"], None)
+        if chain["next"] is None:
             self.chains.remove(chain)
 
     def op_sweep(self) -> None:

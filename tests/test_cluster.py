@@ -235,6 +235,31 @@ def test_crash_trace_events(tmp_path):
     assert "restart" in gw_events
 
 
+def _worker_events(sim):
+    return [(ev, details) for _, _, ev, details in sim.tracer.events(entity_prefix="worker")]
+
+
+def test_failed_transfer_trace_line(tmp_path):
+    registry = seeded_registry()
+    digest = registry.fetch_manifest("apps/sim:v1").layers[0]
+    registry.set_abort(digest, fraction=0.5, mode="error")
+    sim = make_sim(tmp_path=tmp_path, registry=registry)
+    sim.submit(directive_spec())
+    sim.run()
+    assert _worker_events(sim) == [
+        ("task_failed", "ref=apps/sim:v1 step=transfer err=RegistryIoError")]
+
+
+def test_lease_revoked_trace_line(tmp_path):
+    sim = make_sim(tmp_path=tmp_path)
+    job_id = sim.submit(directive_spec())
+    admin = sim.make_credential(scope="admin")
+    sim.clock.schedule(0.2, lambda: sim.gateway.expire(parse_reference("apps/sim:v1"), admin))
+    res = sim.run()[job_id]
+    assert res.outcome == "failed"
+    assert _worker_events(sim) == [("lease_revoked", "ref=apps/sim:v1 step=transfer")]
+
+
 # -- determinism --------------------------------------------------------------------
 
 

@@ -1,6 +1,8 @@
+import dataclasses
+
 import pytest
 
-from udigate.config import Config, load_config, parse_config
+from udigate.config import _NON_NEGATIVE, _POSITIVE, Config, load_config, parse_config
 from udigate.errors import InvalidSpec
 
 
@@ -75,3 +77,30 @@ def test_replace_returns_new_instance():
     derived = base.replace(lease_duration=1.0)
     assert derived.lease_duration == 1.0
     assert base.lease_duration == 60.0
+
+
+@pytest.mark.parametrize("key,value", [
+    ("heartbeat_interval", 0),
+    ("registry_bandwidth", -1),
+    ("worker_pool_size", 0),
+    ("lease_duration", float("inf")),
+    ("convert_bandwidth", float("nan")),
+    ("cache_ttl", -0.5),
+    ("command_duration", float("nan")),
+    ("identity_timeout", float("-inf")),
+])
+def test_out_of_range_value_rejected(key, value):
+    with pytest.raises(InvalidSpec, match=key):
+        parse_config(f"{key} = {value}")
+    with pytest.raises(InvalidSpec, match=key):
+        Config().replace(**{key: value})
+
+
+def test_zero_allowed_where_it_means_free():
+    cfg = Config().replace(**{key: 0 for key in _NON_NEGATIVE})
+    assert all(getattr(cfg, key) == 0 for key in _NON_NEGATIVE)
+
+
+def test_every_numeric_key_has_a_range():
+    numeric = {f.name for f in dataclasses.fields(Config) if f.type in ("int", "float")}
+    assert numeric == set(_POSITIVE) | set(_NON_NEGATIVE)

@@ -28,7 +28,6 @@ from udigate.filetree import (
     blob_digest,
     default_site_config,
     flatten,
-    parse_site_file,
     tree_from_blob,
     tree_to_blob,
 )
@@ -454,26 +453,6 @@ def test_idempotent_mods_apply_twice_same_result():
                       cleanup_commands=site.cleanup_commands)
     assert apply_site_mods(apply_site_mods(tree, pure), pure) == apply_site_mods(tree, pure)
     assert once is not tree
-
-
-def test_parse_site_file():
-    import base64
-    payload = base64.b64encode(b"hosts: files\n").decode()
-    site = parse_site_file(f"""
-        # standard site adjustments
-        inject_file /etc/nsswitch.conf 644 {payload}
-        make_dir /scratch 777
-        remove_path /etc/machine-id
-        append_env UDI_SITE 1
-        cleanup cleanup_scratch
-        cleanup drop_node_cache --force
-    """)
-    ops = [m.op for m in site.mods]
-    assert ops == ["inject_file", "make_dir", "remove_path", "append_env"]
-    assert site.mods[0].content == b"hosts: files\n"
-    assert site.mods[0].mode == 0o644
-    assert site.mods[1].mode == 0o777
-    assert site.cleanup_commands == ("cleanup_scratch", "drop_node_cache --force")
 
 
 def test_default_site_config_summaries():

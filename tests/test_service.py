@@ -1,5 +1,6 @@
 """Threaded gateway runtime: wall-clock workers over the pull pipeline."""
 
+import logging
 import threading
 import time
 
@@ -13,9 +14,30 @@ from udigate.registry import LocalRegistry
 from udigate.service import GatewayRuntime
 
 
-def build(fast_cfg, tmp_path, **cfg_kw):
-    cfg = fast_cfg.replace(worker_pool_size=2, **cfg_kw)
-    registry = LocalRegistry()
+class HookedRegistry(LocalRegistry):
+    """Runs ``hook`` inside the first fetch_layer call only."""
+
+    def __init__(self, hook):
+        super().__init__()
+        self._hook = hook
+
+    def fetch_layer(self, digest: str) -> bytes:
+        hook, self._hook = self._hook, None
+        if hook is not None:
+            hook()
+        return super().fetch_layer(digest)
+
+
+def wait_for_state(gw, ref, state, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while gw.lookup(ref).state is not state and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return gw.lookup(ref)
+
+
+def build(fast_cfg, tmp_path, registry=None, **cfg_kw):
+    cfg = fast_cfg.replace(**{"worker_pool_size": 2, **cfg_kw})
+    registry = registry or LocalRegistry()
     registry.add_image("svc/app", "v1", [tiny_tree(), payload_tree()], total_size=4096)
     registry.add_image("svc/app", "v2", [payload_tree(b"two")], total_size=4096)
     gw = Gateway(cfg, SystemClock(), registry, str(tmp_path / "state"))
@@ -131,3 +153,54 @@ def test_stop_is_clean_with_empty_queue(fast_cfg, tmp_path):
     runtime.stop()
     assert runtime._threads == []
     gw.close()
+
+
+def test_lease_revoked_mid_pull_frees_the_worker(fast_cfg, tmp_path, caplog):
+    entered, release = threading.Event(), threading.Event()
+
+    def block():
+        entered.set()
+        release.wait(timeout=5.0)
+
+    gw, runtime, _ = build(fast_cfg, tmp_path, registry=HookedRegistry(block),
+                           worker_pool_size=1)
+    runtime.start()
+    try:
+        first, second = parse_reference("svc/app:v1"), parse_reference("svc/app:v2")
+        with caplog.at_level(logging.INFO):
+            gw.pull(first)
+            assert entered.wait(timeout=5.0)
+            assert gw.expire(first).last_error == "expired by admin"
+            release.set()
+            # the one worker abandons the revoked task and takes the next
+            gw.pull(second)
+            assert wait_for_state(gw, second, ImageState.READY).state is ImageState.READY
+        rec = gw.lookup(first)
+        assert rec.state is ImageState.FAILED
+        assert rec.last_error == "expired by admin"
+        assert "lease lost for svc/app:v1" in caplog.text
+    finally:
+        release.set()
+        runtime.stop()
+        gw.close()
+
+
+def test_unexpected_error_fails_record_and_worker_survives(fast_cfg, tmp_path):
+    def explode():
+        raise RuntimeError("disk on fire")
+
+    gw, runtime, _ = build(fast_cfg, tmp_path, registry=HookedRegistry(explode),
+                           worker_pool_size=1)
+    runtime.start()
+    try:
+        first, second = parse_reference("svc/app:v1"), parse_reference("svc/app:v2")
+        gw.pull(first)
+        rec = wait_for_state(gw, first, ImageState.FAILED)
+        assert rec.state is ImageState.FAILED
+        assert rec.last_error == "RuntimeError: disk on fire"
+        gw.pull(second)
+        assert wait_for_state(gw, second, ImageState.READY).state is ImageState.READY
+        assert all(t.is_alive() for t in runtime._threads)
+    finally:
+        runtime.stop()
+        gw.close()
