@@ -27,7 +27,7 @@ import hmac
 import secrets
 import struct
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import CredentialExpired, MacMismatch
 

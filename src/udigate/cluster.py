@@ -35,7 +35,7 @@ from .config import Config
 from .errors import InvalidSpec, MissingGres, UdigateError
 from .gateway import Gateway, ImageRecord, ImageState, PullTask
 from .nodeagent import IdentityBackend, NodeAgent
-from .refs import ImageReference, parse_reference
+from .refs import parse_reference
 from .registry import LocalRegistry
 from .udi import UdiDescriptor, scan_udi
 

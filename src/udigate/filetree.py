@@ -26,6 +26,14 @@ first ordered read or subtree removal and kept in step after that. A path's
 subtree is one contiguous run of that list, so removing it costs
 O(log n + subtree) rather than a scan of all n entries, and ordered reads
 do not sort again.
+
+Paths and entries are checked at two gates, once each: ``tree_from_blob``
+for registry bytes, and ``FileTree.set_entry`` for everything else. Both run
+``normalize_path`` and ``_check_entry``. Trees built through a gate are
+trusted from then on: ``tree_from_blob`` and ``flatten`` insert through
+``FileTree._put``, which neither normalizes nor re-checks, since a gated
+layer's paths and their parents are already normal and its entries already
+checked.
 """
 from __future__ import annotations
 
@@ -33,10 +41,11 @@ import base64
 import hashlib
 import json
 import posixpath
+from binascii import a2b_base64
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import EmptyLayerList, MalformedLayer, ModConflict
 
@@ -55,8 +64,7 @@ SYMLINK_MODE = 0o777  # lstat reports 0o777 for links on linux; fixed for determ
 MAX_PATH_LEN = 4096
 
 
-@dataclass(frozen=True)
-class TreeEntry:
+class TreeEntry(NamedTuple):
     kind: str
     mode: int = DEFAULT_FILE_MODE
     content: bytes = b""
@@ -64,50 +72,55 @@ class TreeEntry:
 
 
 def normalize_path(path: str) -> str:
+    """Return path unchanged if it is absolute and normal (no empty, "." or
+    ".." segment, at most MAX_PATH_LEN bytes of UTF-8); raise MalformedLayer
+    otherwise."""
     if not isinstance(path, str) or not path:
         raise MalformedLayer("empty path")
-    if not path.startswith("/"):
+    if path[0] != "/":
         raise MalformedLayer(f"path not absolute: {path!r}")
-    parts = path.split("/")
-    for seg in parts[1:]:
-        if seg in ("", ".", ".."):
-            raise MalformedLayer(f"bad path segment in {path!r}")
-    norm = "/" + "/".join(parts[1:])
-    if len(norm.encode("utf-8")) > MAX_PATH_LEN:
-        raise MalformedLayer(f"path too long: {norm[:80]!r}...")
-    return norm
+    segs = path[1:].split("/")
+    if "" in segs or "." in segs or ".." in segs:
+        raise MalformedLayer(f"bad path segment in {path!r}")
+    # an ASCII path is as many bytes as characters; others are measured
+    if len(path) > MAX_PATH_LEN or not path.isascii():
+        try:
+            size = len(path.encode("utf-8"))
+        except UnicodeEncodeError:
+            raise MalformedLayer(f"path not valid UTF-8: {path!r}") from None
+        if size > MAX_PATH_LEN:
+            raise MalformedLayer(f"path too long: {path[:80]!r}...")
+    return path
 
 
 def _check_entry(path: str, entry: TreeEntry) -> TreeEntry:
-    if entry.kind not in _KINDS:
-        raise MalformedLayer(f"unknown kind {entry.kind!r} at {path}")
-    if not (0 <= entry.mode <= 0o7777):
-        raise MalformedLayer(f"mode out of range at {path}: {entry.mode:o}")
-    if entry.kind == KIND_SYMLINK:
-        if not entry.target:
+    kind, mode, content, target = entry
+    if kind not in _KINDS:
+        raise MalformedLayer(f"unknown kind {kind!r} at {path}")
+    if type(mode) is not int or not 0 <= mode <= 0o7777:
+        raise MalformedLayer(f"mode not an integer in 0..0o7777 at {path}: {mode!r}")
+    if not isinstance(target, str):
+        raise MalformedLayer(f"symlink target not a string at {path}: {target!r}")
+    if kind == KIND_SYMLINK:
+        if not target:
             raise MalformedLayer(f"symlink without target at {path}")
-        if entry.content:
+        if content:
             raise MalformedLayer(f"symlink with content at {path}")
-        if entry.mode != SYMLINK_MODE:
-            entry = TreeEntry(KIND_SYMLINK, SYMLINK_MODE, b"", entry.target)
+        try:
+            target.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedLayer(f"symlink target not valid UTF-8 at {path}") from None
+        if mode != SYMLINK_MODE:
+            entry = TreeEntry(KIND_SYMLINK, SYMLINK_MODE, b"", target)
     else:
-        if entry.target:
-            raise MalformedLayer(f"{entry.kind} with symlink target at {path}")
-        if entry.kind == KIND_DIR and entry.content:
+        if target:
+            raise MalformedLayer(f"{kind} with symlink target at {path}")
+        if kind == KIND_DIR and content:
             raise MalformedLayer(f"dir with content at {path}")
     return entry
 
 
-def is_whiteout(path: str) -> bool:
-    return posixpath.basename(path).startswith(WHITEOUT_PREFIX)
-
-
-def whiteout_target(path: str) -> str:
-    parent, name = posixpath.split(path)
-    victim = name[len(WHITEOUT_PREFIX):]
-    if not victim:
-        raise MalformedLayer(f"whiteout with empty target: {path}")
-    return posixpath.join(parent, victim)
+_DEFAULT_DIR = TreeEntry(KIND_DIR, DEFAULT_DIR_MODE)
 
 
 class FileTree:
@@ -126,8 +139,13 @@ class FileTree:
         return self._keys
 
     def set_entry(self, path: str, entry: TreeEntry) -> None:
+        """Validating insert, the gate for entries that do not come from a
+        layer blob."""
         path = normalize_path(path)
-        entry = _check_entry(path, entry)
+        self._put(path, _check_entry(path, entry))
+
+    def _put(self, path: str, entry: TreeEntry) -> None:
+        """Insert a path and entry that have already passed a gate."""
         if self._keys is not None and path not in self._entries:
             insort(self._keys, path)
         self._entries[path] = entry
@@ -249,12 +267,13 @@ def tree_from_blob(data: bytes) -> FileTree:
     for path, rec in entries.items():
         try:
             kind = rec["kind"]
-            mode = int(rec["mode"])
-            content = base64.b64decode(rec["content_b64"]) if "content_b64" in rec else b""
+            mode = rec["mode"]
+            content = a2b_base64(rec["content_b64"]) if "content_b64" in rec else b""
             target = rec.get("target", "")
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedLayer(f"bad entry at {path!r}: {exc}") from exc
-        tree.set_entry(path, TreeEntry(kind, mode, content, target))
+        normalize_path(path)
+        tree._put(path, _check_entry(path, TreeEntry(kind, mode, content, target)))
     return tree
 
 
@@ -265,50 +284,59 @@ def blob_digest(data: bytes) -> str:
 # --- flatten -----------------------------------------------------------------
 
 def _ensure_parent_dirs(result: FileTree, path: str) -> None:
-    parents = []
-    parent = posixpath.dirname(path)
-    while parent != "/":
-        parents.append(parent)
-        parent = posixpath.dirname(parent)
-    for p in reversed(parents):
-        ent = result.get(p)
-        if ent is None:
-            result.set_entry(p, TreeEntry(KIND_DIR, DEFAULT_DIR_MODE))
-        elif ent.kind != KIND_DIR:
-            result.remove_subtree(p)
-            result.set_entry(p, TreeEntry(KIND_DIR, DEFAULT_DIR_MODE))
+    """Make every proper ancestor of a normalized path a dir, top down: a
+    missing one is created, a non-dir one is replaced with its subtree."""
+    entries = result._entries
+    end = path.find("/", 1)
+    while end != -1:
+        parent = path[:end]
+        ent = entries.get(parent)
+        if ent is None or ent.kind != KIND_DIR:
+            if ent is not None:
+                result.remove_subtree(parent)
+            result._put(parent, _DEFAULT_DIR)
+        end = path.find("/", end + 1)
 
 
-def _make_opaque(result: FileTree, marker: str) -> None:
-    """Hide every lower entry below the marker's dir, which stays a dir."""
-    parent = posixpath.dirname(marker)
-    if parent == "/":
+def _make_opaque(result: FileTree, marker: str, parent: str) -> None:
+    """Hide every lower entry below the marker's parent dir ("" for /),
+    which stays a dir; a marker at / clears the whole tree."""
+    if not parent:
         result.clear()
         return
     _ensure_parent_dirs(result, marker)
     kept = result.get(parent)
     result.remove_subtree(parent)
-    result.set_entry(parent, kept)
+    result._put(parent, kept)
 
 
 def apply_layer(result: FileTree, layer: FileTree) -> None:
-    whiteouts = [p for p, _ in layer.items() if is_whiteout(p)]
-    for p in whiteouts:
-        if posixpath.basename(p) == OPAQUE_WHITEOUT:
-            _make_opaque(result, p)
-        else:
-            result.remove_subtree(whiteout_target(p))
+    """Apply one gated layer: its whiteouts first, then its other entries,
+    each in path order. An entry's parents are made dirs only when its
+    parent differs from the previous entry's: entries that share a parent
+    are consecutive, and replacing one of them never touches the parent."""
+    plain = []
     for path, entry in layer.items():
-        if is_whiteout(path):
-            continue
-        _ensure_parent_dirs(result, path)
-        existing = result.get(path)
-        if entry.kind == KIND_DIR and existing is not None and existing.kind == KIND_DIR:
-            result.set_entry(path, entry)  # mode refresh, children survive
-            continue
-        if existing is not None:
-            result.remove_subtree(path)
-        result.set_entry(path, entry)
+        parent, _, name = path.rpartition("/")
+        if not name.startswith(WHITEOUT_PREFIX):
+            plain.append((path, parent, entry))
+        elif name == OPAQUE_WHITEOUT:
+            _make_opaque(result, path, parent)
+        else:
+            victim = name[len(WHITEOUT_PREFIX):]
+            if not victim:
+                raise MalformedLayer(f"whiteout with empty target: {path}")
+            result.remove_subtree(f"{parent}/{victim}")
+    entries = result._entries
+    confirmed = None  # the parent made a dir for the previous entry
+    for path, parent, entry in plain:
+        if parent != confirmed:
+            _ensure_parent_dirs(result, path)
+            confirmed = parent
+        existing = entries.get(path)
+        if existing is not None and not (entry.kind == KIND_DIR == existing.kind):
+            result.remove_subtree(path)  # a kind change drops the old subtree
+        result._put(path, entry)  # dir over dir refreshes the mode, children survive
 
 
 def flatten(layers: Iterable[FileTree]) -> FileTree:

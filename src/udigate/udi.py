@@ -18,8 +18,9 @@ Layout, all integers little-endian:
 
 Entries are sorted by path, so identical trees with identical metadata give
 bit-identical archives. The writer takes the entry count up front, streams
-each entry through a hashing wrapper as it arrives, and lands on the final
-name via rename, so a crashed writer leaves no partial archive behind.
+each entry through a hashing wrapper as it arrives (its header packed with
+precompiled structs into one write, its content after it), and lands on the
+final name via rename, so a crashed writer leaves no partial archive behind.
 
 open_udi reads an archive once, front to back, in windows of at most 1 MiB
 (a small archive in a single read), parses each header with precompiled
@@ -56,6 +57,11 @@ _CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
 _META_LIMIT = 16 * 1024 * 1024
 _COUNT_LIMIT = 10_000_000
 _WINDOW = 1024 * 1024  # largest single read of an archive
+
+_HEAD = struct.Struct("<4sHI")          # magic, version, meta_len
+_COUNT = struct.Struct("<I")
+_PATH_LEN = struct.Struct("<H")
+_ENTRY_FIELDS = struct.Struct("<BHQ")   # kind, mode, content_len (after the path)
 
 
 @dataclass(frozen=True)
@@ -121,20 +127,13 @@ def write_udi_stream(dest_path: str, created_at: float, source_ref: str,
     try:
         with os.fdopen(fd, "wb") as raw:
             w = _HashingWriter(raw)
-            w.write(MAGIC)
-            w.write(struct.pack("<H", VERSION))
-            w.write(struct.pack("<I", len(meta)))
-            w.write(meta)
-            w.write(struct.pack("<I", count))
+            w.write(_HEAD.pack(MAGIC, VERSION, len(meta)) + meta + _COUNT.pack(count))
             written = 0
+            path_len, fields = _PATH_LEN.pack, _ENTRY_FIELDS.pack
             for path, kind, mode, content_len, chunks in entries:
                 written += 1
                 pb = path.encode("utf-8")
-                w.write(struct.pack("<H", len(pb)))
-                w.write(pb)
-                w.write(struct.pack("<B", _KIND_CODE[kind]))
-                w.write(struct.pack("<H", mode))
-                w.write(struct.pack("<Q", content_len))
+                w.write(path_len(len(pb)) + pb + fields(_KIND_CODE[kind], mode, content_len))
                 fed = 0
                 for chunk in chunks:
                     if chunk:
@@ -175,12 +174,6 @@ def write_udi(tree: FileTree, dest_path: str, source_ref: str, created_at: float
               site_mods: Iterable[str] = ()) -> UdiDescriptor:
     return write_udi_stream(dest_path, created_at, source_ref, site_mods, len(tree),
                             _tree_entry_stream(tree))
-
-
-_HEAD = struct.Struct("<4sHI")          # magic, version, meta_len
-_COUNT = struct.Struct("<I")
-_PATH_LEN = struct.Struct("<H")
-_ENTRY_FIELDS = struct.Struct("<BHQ")   # kind, mode, content_len (after the path)
 
 
 class _Reader:

@@ -18,6 +18,7 @@ from helpers import materialize_stack, random_stack, read_back_tree, tiny_tree
 from udigate.errors import EmptyLayerList, MalformedLayer, ModConflict
 from udigate.filetree import (
     DEFAULT_DIR_MODE,
+    MAX_PATH_LEN,
     OPAQUE_WHITEOUT,
     WHITEOUT_PREFIX,
     FileTree,
@@ -28,6 +29,7 @@ from udigate.filetree import (
     blob_digest,
     default_site_config,
     flatten,
+    normalize_path,
     tree_from_blob,
     tree_to_blob,
 )
@@ -54,6 +56,88 @@ def test_normalize_rejects_relative_and_dotdot():
     for bad in ("relative", "/a/../b", "/a/./b", "//", "/a//b", ""):
         with pytest.raises(MalformedLayer):
             t.add_file(bad, b"")
+
+
+def _old_normalize_path(path):
+    """normalize_path as it was when it rebuilt the string: the reference
+    for the accept and reject set."""
+    if not isinstance(path, str) or not path:
+        raise MalformedLayer("empty path")
+    if not path.startswith("/"):
+        raise MalformedLayer(f"path not absolute: {path!r}")
+    parts = path.split("/")
+    for seg in parts[1:]:
+        if seg in ("", ".", ".."):
+            raise MalformedLayer(f"bad path segment in {path!r}")
+    norm = "/" + "/".join(parts[1:])
+    if len(norm.encode("utf-8")) > MAX_PATH_LEN:
+        raise MalformedLayer(f"path too long: {norm[:80]!r}...")
+    return norm
+
+
+def _file_blob(path):
+    return json.dumps({"entries": {path: {"kind": "file", "mode": 0o644}}}).encode()
+
+
+def _assert_normalizes_like_old(path):
+    try:
+        want = _old_normalize_path(path)
+    except (MalformedLayer, UnicodeEncodeError):
+        # the old check let a lone surrogate escape as UnicodeEncodeError
+        want = None
+    if want is not None:
+        assert normalize_path(path) == want
+        assert tree_from_blob(_file_blob(path)).paths() == [want]
+        return
+    with pytest.raises(MalformedLayer):
+        normalize_path(path)
+    if isinstance(path, str):  # a blob's paths are JSON object keys, always str
+        with pytest.raises(MalformedLayer):
+            tree_from_blob(_file_blob(path))
+
+
+# multi-byte paths at the byte limit, whatever their length in characters
+_LONG_PATHS = [
+    "/" + "\u00e9" * 2047 + "a",             # 4096 bytes in 2049 characters
+    "/" + "\u00e9" * 2048,                   # 4097 bytes
+    "/" + "\u65e5" * 1365,                   # 4096 bytes in 1366 characters
+    "/" + "\u65e5" * 1365 + "a",             # 4097 bytes
+    "/" + "/".join(["\U0001F600" * 3] * 315) + "a",   # 4096 bytes, 315 segments
+    "/" + "/".join(["\U0001F600" * 3] * 315) + "ab",  # 4097 bytes
+    "/" + "a" * 4095,
+    "/" + "a" * 4096,
+]
+
+
+@pytest.mark.parametrize("path", [
+    "/", "//a", "/a/", "/a/./b", "/a/../b", "a/b", "", "/a", "/a/b", "/.a", "/..a",
+    "/a/...", "/.wh..wh..opq", "/\u00e9/\U0001F600", "/a\ud800", None, 5, b"/a", ["/a"],
+], ids=repr)
+def test_normalize_path_matches_old_implementation(path):
+    _assert_normalizes_like_old(path)
+
+
+def test_normalize_path_at_the_byte_limit():
+    for path in _LONG_PATHS:
+        size = len(path.encode("utf-8"))
+        assert size in (MAX_PATH_LEN, MAX_PATH_LEN + 1)
+        _assert_normalizes_like_old(path)
+        if size == MAX_PATH_LEN:
+            assert normalize_path(path) == path
+        else:
+            with pytest.raises(MalformedLayer, match="too long"):
+                normalize_path(path)
+
+
+def test_normalize_path_matches_old_on_random_paths():
+    rng = random.Random(41)
+    tokens = ["/", "/", "/", "a", "b", ".", "..", ".wh.", " ", "\u00e9", "\u65e5",
+              "\U0001F600", "\ud800"]
+    for _ in range(3000):
+        path = "".join(rng.choice(tokens) for _ in range(rng.randrange(0, 10)))
+        if rng.random() < 0.05:
+            path += "/" + rng.choice(("a", "\u00e9", "\u65e5")) * rng.randrange(1000, 4200)
+        _assert_normalizes_like_old(path)
 
 
 def test_symlink_mode_forced():
@@ -132,6 +216,25 @@ def test_tree_from_blob_rejects_garbage():
         tree_from_blob(b"not json")
     with pytest.raises(MalformedLayer):
         tree_from_blob(b"[1,2,3]")
+
+
+@pytest.mark.parametrize("rec", [
+    {"kind": "symlink", "mode": 0o777, "target": 5},
+    {"kind": "symlink", "mode": 0o777, "target": ["x"]},
+    {"kind": "symlink", "mode": 0o777, "target": "bad\ud800"},
+    {"kind": "file", "mode": 0o644, "target": 0},
+    {"kind": "file", "mode": 1.9},
+    {"kind": "file", "mode": True},
+    {"kind": "file", "mode": "420"},
+    {"kind": "dir", "mode": None},
+], ids=repr)
+def test_both_gates_reject_mistyped_fields(rec):
+    # a mistyped field must stop at the gate: past it, the tree digest and
+    # the archive writer take a str target and an int mode on trust
+    with pytest.raises(MalformedLayer):
+        tree_from_blob(json.dumps({"entries": {"/x": rec}}).encode())
+    with pytest.raises(MalformedLayer):
+        FileTree().set_entry("/x", TreeEntry(rec["kind"], rec["mode"], b"", rec.get("target", "")))
 
 
 def test_flatten_empty_rejected():
@@ -238,6 +341,64 @@ def test_flatten_matches_filesystem_oracle(seed, tmp_path):
         assert tree_to_blob(flatten(layers)) == tree_to_blob(oracle)
 
 
+# -- the parent memo -----------------------------------------------------------------
+#
+# apply_layer makes an entry's parents dirs only when its parent differs from
+# the previous entry's. These stacks change the kind of a remembered parent,
+# or of one of its ancestors, within one layer.
+
+_F, _D = TreeEntry("file", 0o644, b"f"), TreeEntry("dir", 0o700)
+_L = TreeEntry("symlink", 0o777, b"", "t")
+_MARK = TreeEntry("file", 0o644)
+
+_MEMO_STACKS = {
+    "file-over-dir-then-children": [
+        {"/a": _D, "/a/x": _F, "/a/y": _F},
+        {"/a": _F, "/a/x": _F, "/a/z": _F},
+    ],
+    "dir-over-file-then-children": [
+        {"/a": _F, "/b": _F},
+        {"/a": _D, "/a/z": _F, "/b/z": _F},
+    ],
+    "symlink-over-dir-then-children": [
+        {"/a": _D, "/a/x": _F},
+        {"/a": _L, "/a/z": _F, "/a/z/deep": _F},
+    ],
+    "opaque-then-children": [
+        {"/d": _D, "/d/old": _F, "/d/sub": _D, "/d/sub/x": _F, "/e": _F},
+        {"/d/" + OPAQUE_WHITEOUT: _MARK, "/d/new": _F, "/d/sub/y": _F},
+    ],
+    "opaque-under-a-file": [
+        {"/d": _F},
+        {"/d/" + OPAQUE_WHITEOUT: _MARK, "/d/new": _F},
+    ],
+    "whiteout-then-children": [
+        {"/a": _D, "/a/b": _D, "/a/b/x": _F},
+        {"/a/" + WHITEOUT_PREFIX + "b": _MARK, "/a/b/y": _F, "/a/c": _F},
+    ],
+    "parent-changes-between-siblings": [
+        {"/a": _D, "/a/b": _D, "/a/b/old": _F, "/a/c": _F},
+        {"/a/b": _F, "/a/b-x": _F, "/a/b.y": _D, "/a/b/c": _F, "/a/b/c/d": _F, "/a/c": _F,
+         "/a/c/e": _F},
+    ],
+    "ancestor-replaced-deep": [
+        {"/p": _D, "/p/q": _D, "/p/q/r": _F},
+        {"/p": _F, "/p/q/r": _F, "/p/q/s": _F, "/p/t": _F},
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MEMO_STACKS))
+def test_flatten_parent_memo_matches_dict_reference(name):
+    layers = _MEMO_STACKS[name]
+    flat = flatten([FileTree(layer) for layer in layers])
+    assert list(flat.items()) == sorted(_dict_flatten(layers).items())
+    flat.validate()
+    for path in flat.paths():
+        parent = posixpath.dirname(path)
+        assert parent == "/" or flat.get(parent).kind == "dir", path
+
+
 # -- the sorted path index ----------------------------------------------------------
 #
 # FileTree keeps a sorted key list beside its entry map. These tests replay
@@ -318,6 +479,8 @@ def _upper_layer(rng):
             layer[posixpath.join(posixpath.dirname(path), OPAQUE_WHITEOUT)] = TreeEntry("file", 0o644)
         else:
             layer[path] = _index_entry(rng)
+            if roll > 0.8:  # something under the new entry, whatever its kind
+                layer[f"{path}/{rng.choice(INDEX_SEGMENTS)}"] = _index_entry(rng)
     return layer
 
 

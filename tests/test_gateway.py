@@ -1,5 +1,6 @@
 """Gateway state machine, single-flight, leases, recovery, and expiry."""
 
+import json
 import os
 
 import pytest
@@ -14,7 +15,7 @@ from udigate.errors import (
     PersistenceCorrupt,
     VerifyError,
 )
-from udigate.filetree import FileTree, flatten
+from udigate.filetree import FileTree, blob_digest, flatten
 from udigate.gateway import Gateway, ImageState
 from udigate.refs import parse_reference
 from udigate.registry import LocalRegistry
@@ -125,6 +126,33 @@ def test_retry_after_transient_failure(rig):
     assert rec.last_error == ""
     drive(gw, clock)
     assert gw.lookup(REF).state is ImageState.READY
+
+
+@pytest.mark.parametrize("rec", [
+    {"kind": "symlink", "mode": 0o777, "target": 5},
+    {"kind": "file", "mode": 1.9},
+], ids=["int-target", "float-mode"])
+def test_mistyped_layer_entry_fails_the_pull(fast_cfg, tmp_path, rec):
+    # a registry on disk whose one layer has a well-formed JSON entry of the
+    # wrong types: the pull must end FAILED, not raise out of the step runner
+    blob = json.dumps({"entries": {"/x": rec}}, sort_keys=True).encode()
+    digest = blob_digest(blob)
+    img_dir = tmp_path / "registry" / "app" / "alpha:v1"
+    (img_dir / "blobs").mkdir(parents=True)
+    (img_dir / "blobs" / digest).write_bytes(blob)
+    (img_dir / "manifest.json").write_text(json.dumps(
+        {"name": "app/alpha", "tag": "v1", "layers": [digest], "total_size": len(blob)}))
+    registry = LocalRegistry.load_from_dir(str(tmp_path / "registry"))
+    clock = VirtualClock()
+    gw = Gateway(fast_cfg, clock, registry, str(tmp_path / "state"))
+    try:
+        gw.pull(REF)
+        drive(gw, clock)
+        rec = gw.lookup(REF)
+        assert rec.state is ImageState.FAILED
+        assert rec.last_error.startswith("MalformedLayer")
+    finally:
+        gw.close()
 
 
 def test_failed_goes_sticky_at_attempt_cap(rig):
