@@ -64,9 +64,6 @@ class VirtualClock:
             raise ValueError("cannot advance backwards")
         self._now += dt
 
-    def pending(self) -> int:
-        return sum(1 for ev in self._heap if not ev.cancelled)
-
     def run_until_idle(self, max_events: int = 10_000_000) -> int:
         """Run events in order until the queue drains. Returns events run."""
         ran = 0

@@ -15,8 +15,11 @@ fail fast instead of wedging a prologue.
 Everything runs on the shared VirtualClock. Per-node mount latency is drawn
 from a stream seeded by (seed, node_id) only, so runs over different image
 sizes or rank counts reuse identical draws, which keeps cost comparisons
-honest. The gateway's pull work runs as event chains through a bounded
-worker pool, with a lease sweeper armed whenever transient records exist.
+honest. Jobs and pulls are both step generators: a job's ``_JobRun.steps``
+yields (delay, priority) and a pull's ``Gateway.run_pull`` yields (kind,
+cost) before each wait, and the simulator schedules each resume on the
+clock. Pulls run through a bounded worker pool, with a lease sweeper armed
+whenever transient records exist.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ import shutil
 import tempfile
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .authsvc import Credential, CredentialVerifier, issue_credential
 from .clock import Tracer, VirtualClock, fmt_time
@@ -37,7 +40,7 @@ from .gateway import Gateway, ImageRecord, ImageState, PullTask
 from .nodeagent import IdentityBackend, NodeAgent
 from .refs import parse_reference
 from .registry import LocalRegistry
-from .udi import UdiDescriptor, scan_udi
+from .udi import scan_udi
 
 log = logging.getLogger(__name__)
 
@@ -214,7 +217,6 @@ class ClusterSim:
         self._sweep_handle = None
 
         self._results: dict[str, JobResult] = {}
-        self._jobs: dict[str, "_JobRun"] = {}
         self._job_seq = 0
 
     # -- wiring -------------------------------------------------------------------
@@ -322,13 +324,18 @@ class ClusterSim:
         self._job_seq += 1
         result = JobResult(job_id=job_id)
         self._results[job_id] = result
-        run = _JobRun(self, spec, job_id, result)
-        self._jobs[job_id] = run
-        self.clock.schedule(0.0, run.start)
+        steps = _JobRun(self, spec, job_id, result).steps()
+        self.clock.schedule(0.0, lambda: self._advance_job(steps))
         self.tracer.emit(self.clock.now(), job_id, "submitted",
                          [("nodes", spec.nodes), ("ranks", spec.ranks_per_node),
                           ("mode", spec.image_mode)])
         return job_id
+
+    def _advance_job(self, steps) -> None:
+        step = next(steps, None)
+        if step is not None:
+            delay, priority = step
+            self.clock.schedule(delay, lambda: self._advance_job(steps), priority)
 
     def run(self) -> dict[str, JobResult]:
         self.clock.run_until_idle()
@@ -354,8 +361,12 @@ class ClusterSim:
             shutil.rmtree(self.state_dir, ignore_errors=True)
 
 
+class _JobFailed(Exception):
+    """A job step that cannot go on; the message is the job's reason."""
+
+
 class _JobRun:
-    """One job's prologue -> exec -> epilogue chain on the virtual clock."""
+    """One job's prologue -> exec -> epilogue as one step generator."""
 
     def __init__(self, sim: ClusterSim, spec: JobSpec, job_id: str, result: JobResult):
         self.sim = sim
@@ -364,13 +375,6 @@ class _JobRun:
         self.result = result
         self.nodes = sim.nodes[:spec.nodes]
         self.cred = sim.make_credential(uid=spec.uid, gids=spec.gids)
-        self.t_prologue = 0.0
-        self.t_exec = 0.0
-        self.cmd_index = 0
-        self.first_cmd_started = False
-        self.failed = False
-        self.finished = False
-        self._epilogue_entered = False
 
     # -- helpers ---------------------------------------------------------------
 
@@ -380,10 +384,9 @@ class _JobRun:
     def _trace(self, event: str, details=()) -> None:
         self.sim.tracer.emit(self._now(), self.job_id, event, details)
 
-    def _ensure_ready(self, ref_text: str,
-                      on_ready: Callable[[ImageRecord], None],
-                      on_fail: Callable[[str], None]) -> None:
-        """One gateway pull, then lookup polling until READY or terminal.
+    def _ready(self, ref_text: str):
+        """One gateway pull, then a lookup every poll_interval until the
+        record is READY, which is returned; any other end raises _JobFailed.
 
         Polls are read-only on purpose: the pull request was made once, and
         a job watching progress must not spawn retries on its own."""
@@ -391,34 +394,28 @@ class _JobRun:
             ref = parse_reference(ref_text, self.sim.system)
             rec = self.sim.gateway.pull(ref, self.cred)
         except UdigateError as exc:
-            on_fail(f"pull of {ref_text} rejected: {type(exc).__name__}: {exc}")
-            return
+            raise _JobFailed(f"pull of {ref_text} rejected: {type(exc).__name__}: {exc}") from None
+        while rec.state is not ImageState.READY:
+            if rec.state is ImageState.FAILED:
+                raise _JobFailed(f"image {ref.canonical()} FAILED: {rec.last_error}")
+            if rec.state is ImageState.EXPIRED:
+                raise _JobFailed(f"image {ref.canonical()} expired while job waited")
+            yield self.sim.config.poll_interval, 10
+            try:
+                rec = self.sim.gateway.lookup(ref)
+            except UdigateError as exc:
+                raise _JobFailed(
+                    f"lookup of {ref.canonical()} failed: {type(exc).__name__}") from None
+        return rec
 
-        def poll(rec: ImageRecord) -> None:
-            if rec.state is ImageState.READY:
-                on_ready(rec)
-            elif rec.state is ImageState.FAILED:
-                on_fail(f"image {ref.canonical()} FAILED: {rec.last_error}")
-            elif rec.state is ImageState.EXPIRED:
-                on_fail(f"image {ref.canonical()} expired while job waited")
-            else:
-                def tick():
-                    try:
-                        poll(self.sim.gateway.lookup(ref))
-                    except UdigateError as exc:
-                        on_fail(f"lookup of {ref.canonical()} failed: {type(exc).__name__}")
-                self.sim.clock.schedule(self.sim.config.poll_interval, tick)
-
-        poll(rec)
-
-    def _describe(self, rec: ImageRecord) -> UdiDescriptor:
-        desc, _ = scan_udi(rec.udi_path)
-        return desc
-
-    def _stage_on_nodes(self, desc: UdiDescriptor) -> tuple[list[tuple[NodeAgent, float]], list[str]]:
-        """Mount desc on every allocated node that lacks it. Returns
-        ([(node, setup_seconds)], [failure descriptions]). All nodes are
-        attempted even after a failure, a parallel fan-out has no shortcut."""
+    def _stage(self, rec: ImageRecord, what: str) -> list[tuple[NodeAgent, float]]:
+        """Mount rec's archive on every allocated node that lacks it and
+        return [(node, setup_seconds)]. All nodes are attempted even after a
+        failure, a parallel fan-out has no shortcut; _JobFailed comes after."""
+        try:
+            desc, _ = scan_udi(rec.udi_path)
+        except UdigateError as exc:
+            raise _JobFailed(f"archive unreadable: {type(exc).__name__}") from None
         staged: list[tuple[NodeAgent, float]] = []
         failures: list[str] = []
         for node in self.nodes:
@@ -432,139 +429,69 @@ class _JobRun:
                 self.sim.tracer.emit(self._now(), node.name, "mount_fail",
                                      [("job", self.job_id), ("err", type(exc).__name__)])
                 continue
-            setup = self.sim.mount_latency(node.node_id) + identity_wait
-            staged.append((node, setup))
-        return staged, failures
+            staged.append((node, self.sim.mount_latency(node.node_id) + identity_wait))
+        if failures:
+            self.result.per_node_events.extend(failures)
+            raise _JobFailed(f"{what} failed: {failures[0]}")
+        return staged
 
-    # -- prologue -----------------------------------------------------------------
+    # -- the job ---------------------------------------------------------------
 
-    def start(self) -> None:
-        self.t_prologue = self._now()
+    def steps(self):
+        """Run the job top to bottom. Yields (delay, priority) before each
+        wait on the virtual clock and goes on when the simulator resumes it.
+        A prologue failure goes straight to the epilogue; a failed
+        PerCommand command is counted and the next command runs."""
+        t_prologue = self._now()
         self._trace("prologue_start")
-        if self.spec.image_mode == MODE_DIRECTIVE:
-            self._ensure_ready(self.spec.udi, self._prologue_mounts, self.fail_job)
-        else:
-            self._prologue_done()
-
-    def _prologue_mounts(self, rec: ImageRecord) -> None:
         try:
-            desc = self._describe(rec)
-        except UdigateError as exc:
-            self.fail_job(f"archive unreadable: {type(exc).__name__}")
-            return
-        staged, failures = self._stage_on_nodes(desc)
-        if failures:
-            self.result.per_node_events.extend(failures)
-            self.fail_job(f"prologue mount failed: {failures[0]}")
-            return
-        done_at = self._now() + max((s for _, s in staged), default=0.0)
-        for node, setup in staged:
-            self.sim.clock.schedule(setup, lambda n=node: self.sim.tracer.emit(
-                self._now(), n.name, "mount_done", [("job", self.job_id)]))
-        self.sim.clock.schedule_at(done_at, self._prologue_done, priority=11)
-
-    def _prologue_done(self) -> None:
-        if self.failed:
-            return
-        self.result.prologue_duration = self._now() - self.t_prologue
-        self._trace("prologue_done",
-                    [("duration", fmt_time(self.result.prologue_duration))])
-        self.t_exec = self._now()
-        self._run_next_command()
-
-    # -- exec ---------------------------------------------------------------------
-
-    def _run_next_command(self) -> None:
-        if self.failed:
-            return
-        if self.cmd_index >= len(self.spec.commands):
-            self._exec_done()
-            return
-        cmd = self.spec.commands[self.cmd_index]
-        if cmd.image:
-            self._ensure_ready(cmd.image,
-                               lambda rec: self._stage_and_exec(cmd, rec),
-                               self._command_failed)
+            if self.spec.image_mode == MODE_DIRECTIVE:
+                staged = self._stage((yield from self._ready(self.spec.udi)), "prologue mount")
+                for node, setup in staged:
+                    self.sim.clock.schedule(setup, lambda n=node: self.sim.tracer.emit(
+                        self._now(), n.name, "mount_done", [("job", self.job_id)]))
+                yield max(s for _, s in staged), 11  # after a mount_done due at that time
+        except _JobFailed as exc:
+            self.result.outcome = "failed"
+            self.result.reason = str(exc)
+            self._trace("job_failed", [("at", "prologue")])
         else:
-            self._exec_command(cmd, 0.0)
+            self.result.prologue_duration = self._now() - t_prologue
+            self._trace("prologue_done",
+                        [("duration", fmt_time(self.result.prologue_duration))])
+            t_exec = self._now()
+            started = False
+            for idx, cmd in enumerate(self.spec.commands):
+                setup = 0.0
+                if cmd.image:
+                    try:
+                        staged = self._stage((yield from self._ready(cmd.image)), "stage")
+                    except _JobFailed as exc:
+                        self.result.commands_failed += 1
+                        self.result.per_node_events.append(f"cmd{idx}: {exc}")
+                        self._trace("cmd_fail", [("idx", idx)])
+                        continue
+                    attach = self.spec.ranks_per_node * self.sim.config.rank_attach_cost
+                    setup = max(s for _, s in staged) + attach
+                yield setup, 10
+                if not started:
+                    started = True
+                    self.result.startup_seconds = self._now() - t_prologue
+                self._trace("cmd_start", [("idx", idx), ("image", cmd.image or "-")])
+                yield self.sim.config.command_duration, 10
+                self._trace("cmd_done", [("idx", idx)])
+            self.result.exec_duration = self._now() - t_exec
 
-    def _stage_and_exec(self, cmd: JobCommand, rec: ImageRecord) -> None:
-        try:
-            desc = self._describe(rec)
-        except UdigateError as exc:
-            self._command_failed(f"archive unreadable: {type(exc).__name__}")
-            return
-        staged, failures = self._stage_on_nodes(desc)
-        if failures:
-            self.result.per_node_events.extend(failures)
-            self._command_failed(f"stage failed: {failures[0]}")
-            return
-        attach = self.spec.ranks_per_node * self.sim.config.rank_attach_cost
-        setup = max((s for _, s in staged), default=0.0) + attach
-        self._exec_command(cmd, setup)
-
-    def _exec_command(self, cmd: JobCommand, setup: float) -> None:
-        idx = self.cmd_index
-
-        def begin():
-            if self.failed:
-                return
-            if not self.first_cmd_started:
-                self.first_cmd_started = True
-                self.result.startup_seconds = self._now() - self.t_prologue
-            self._trace("cmd_start", [("idx", idx),
-                                      ("image", cmd.image or "-")])
-            self.sim.clock.schedule(self.sim.config.command_duration, finish)
-
-        def finish():
-            if self.failed:
-                return
-            self._trace("cmd_done", [("idx", idx)])
-            self.cmd_index += 1
-            self._run_next_command()
-
-        self.sim.clock.schedule(setup, begin)
-
-    def _command_failed(self, reason: str) -> None:
-        self.result.commands_failed += 1
-        self.result.per_node_events.append(f"cmd{self.cmd_index}: {reason}")
-        self._trace("cmd_fail", [("idx", self.cmd_index)])
-        self.cmd_index += 1
-        self._run_next_command()
-
-    def _exec_done(self) -> None:
-        self.result.exec_duration = self._now() - self.t_exec
-        self._epilogue()
-
-    # -- epilogue -------------------------------------------------------------------
-
-    def fail_job(self, reason: str) -> None:
-        if self.failed or self.finished:
-            return
-        self.failed = True
-        self.result.outcome = "failed"
-        self.result.reason = reason
-        self._trace("job_failed", [("at", "prologue" if not self.first_cmd_started else "exec")])
-        self._epilogue()
-
-    def _epilogue(self) -> None:
-        if self._epilogue_entered:
-            return
-        self._epilogue_entered = True
         self._trace("epilogue_start")
-        worst = max((len(n.mounts_for(self.job_id)) for n in self.nodes), default=0)
+        worst = max(len(n.mounts_for(self.job_id)) for n in self.nodes)
         for node in self.nodes:
             node.unmount_job(self.job_id)
         for hook in self.sim.gateway.site.cleanup_commands:
             self._trace("cleanup", [("hook", hook)])
         duration = worst * self.sim.config.unmount_cost
-
-        def finish():
-            self.result.epilogue_duration = duration
-            if not self.failed:
-                self.result.outcome = "success"
-            self.finished = True
-            self._trace("epilogue_done")
-            self._trace("job_done", [("outcome", self.result.outcome)])
-
-        self.sim.clock.schedule(duration, finish)
+        yield duration, 10
+        self.result.epilogue_duration = duration
+        if self.result.outcome == "pending":
+            self.result.outcome = "success"
+        self._trace("epilogue_done")
+        self._trace("job_done", [("outcome", self.result.outcome)])

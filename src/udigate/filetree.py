@@ -21,11 +21,16 @@ real filesystem does (the property tests check exactly that):
   * missing parents are created as dirs (mode 0o755); a parent that exists
     as a non-dir is replaced by a dir
 
-A tree keeps its paths in a sorted list beside the entry map, built on the
-first ordered read or subtree removal and kept in step after that. A path's
-subtree is one contiguous run of that list, so removing it costs
-O(log n + subtree) rather than a scan of all n entries, and ordered reads
-do not sort again.
+A tree keeps its paths in a sorted list beside the entry map, built by the
+first ordered read or subtree removal. Removals keep it in step; a new path
+drops it until the next such read, so the index is exact or absent and no
+insert shifts it (O(n) apiece). A rebuild is one ``sorted()`` over a dict
+whose order is already a few sorted runs. A path's subtree is one contiguous
+run of the list, so removing it costs O(log n + subtree) rather than a scan
+of all n entries. Flatten replaces an entry in place, dropping only what lies
+below it, so a replacement adds no path; and since making an entry's parents
+dirs replaces non-dir ancestors, a non-dir in a flatten result has nothing
+below it and replacing one is a plain overwrite.
 
 Paths and entries are checked at two gates, once each: ``tree_from_blob``
 for registry bytes, and ``FileTree.set_entry`` for everything else. Both run
@@ -42,7 +47,7 @@ import hashlib
 import json
 import posixpath
 from binascii import a2b_base64
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -128,7 +133,7 @@ class FileTree:
 
     def __init__(self, entries: Optional[dict[str, TreeEntry]] = None):
         self._entries: dict[str, TreeEntry] = {}
-        self._keys: Optional[list[str]] = None  # sorted paths, once first needed
+        self._keys: Optional[list[str]] = None  # sorted paths, or None until next needed
         if entries:
             for p, e in entries.items():
                 self.set_entry(p, e)
@@ -145,9 +150,10 @@ class FileTree:
         self._put(path, _check_entry(path, entry))
 
     def _put(self, path: str, entry: TreeEntry) -> None:
-        """Insert a path and entry that have already passed a gate."""
+        """Insert a path and entry that have already passed a gate. A new
+        path drops the sorted index rather than shifting it."""
         if self._keys is not None and path not in self._entries:
-            insort(self._keys, path)
+            self._keys = None
         self._entries[path] = entry
 
     def add_file(self, path: str, content: bytes = b"", mode: int = DEFAULT_FILE_MODE) -> None:
@@ -192,6 +198,16 @@ class FileTree:
     def remove_subtree(self, path: str) -> int:
         """Drop path and everything under it. Returns entries removed."""
         path = normalize_path(path)
+        removed = self._remove_below(path)
+        if self._entries.pop(path, None) is not None:
+            keys = self._keys
+            del keys[bisect_left(keys, path)]
+            removed += 1
+        return removed
+
+    def _remove_below(self, path: str) -> int:
+        """Drop everything under a normalized path and keep the path, so
+        that replacing its entry next does not add a new path."""
         keys = self._sorted_keys()
         # Below path sorts from path + "/" up to path + "0" ("0" follows "/");
         # siblings such as path + "-b" sort before that run and are kept.
@@ -200,11 +216,7 @@ class FileTree:
         for p in keys[lo:hi]:
             del self._entries[p]
         del keys[lo:hi]
-        removed = hi - lo
-        if self._entries.pop(path, None) is not None:
-            del keys[bisect_left(keys, path)]
-            removed += 1
-        return removed
+        return hi - lo
 
     def validate(self) -> None:
         """Check parent-kind consistency: a present ancestor must be a dir."""
@@ -293,7 +305,7 @@ def _ensure_parent_dirs(result: FileTree, path: str) -> None:
         ent = entries.get(parent)
         if ent is None or ent.kind != KIND_DIR:
             if ent is not None:
-                result.remove_subtree(parent)
+                result._remove_below(parent)
             result._put(parent, _DEFAULT_DIR)
         end = path.find("/", end + 1)
 
@@ -305,9 +317,7 @@ def _make_opaque(result: FileTree, marker: str, parent: str) -> None:
         result.clear()
         return
     _ensure_parent_dirs(result, marker)
-    kept = result.get(parent)
-    result.remove_subtree(parent)
-    result._put(parent, kept)
+    result._remove_below(parent)
 
 
 def apply_layer(result: FileTree, layer: FileTree) -> None:
@@ -334,8 +344,8 @@ def apply_layer(result: FileTree, layer: FileTree) -> None:
             _ensure_parent_dirs(result, path)
             confirmed = parent
         existing = entries.get(path)
-        if existing is not None and not (entry.kind == KIND_DIR == existing.kind):
-            result.remove_subtree(path)  # a kind change drops the old subtree
+        if existing is not None and existing.kind == KIND_DIR != entry.kind:
+            result._remove_below(path)  # a non-dir over a dir drops its subtree
         result._put(path, entry)  # dir over dir refreshes the mode, children survive
 
 

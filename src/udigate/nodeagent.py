@@ -58,9 +58,6 @@ class GroupCache:
     def put(self, uid: int, gids: Optional[tuple[int, ...]], now: float) -> None:
         self._entries[uid] = (gids, now)
 
-    def flush(self) -> None:
-        self._entries.clear()
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -145,6 +145,11 @@ def test_directive_mounts_on_every_allocated_node(tmp_path):
     assert mounted == {0, 1, 2, 3}
 
 
+def _job_events(sim, job_id):
+    return [f"{ev} {details}".rstrip()
+            for _, _, ev, details in sim.tracer.events(entity_prefix=job_id)]
+
+
 def test_unknown_image_fails_job(tmp_path):
     sim = make_sim(tmp_path=tmp_path)
     job_id = sim.submit(directive_spec(udi="apps/ghost:v1"))
@@ -153,6 +158,10 @@ def test_unknown_image_fails_job(tmp_path):
     assert "FAILED" in res.reason
     assert "RegistryUnknownImage" in res.reason
     sim.assert_clean()
+    assert _job_events(sim, job_id) == [
+        "submitted nodes=3 ranks=4 mode=Directive", "prologue_start",
+        "job_failed at=prologue", "epilogue_start", "cleanup hook=cleanup_scratch",
+        "cleanup hook=drop_node_cache", "epilogue_done", "job_done outcome=failed"]
 
 
 def test_node_auth_outage_fails_prologue(tmp_path):
@@ -165,6 +174,11 @@ def test_node_auth_outage_fails_prologue(tmp_path):
     # the healthy nodes mounted and were cleaned up again
     sim.assert_clean()
     assert any("node/0002" in line for line in res.per_node_events)
+    events = [line.split()[0] for line in _job_events(sim, job_id)]
+    assert events.count("job_failed") == 1
+    assert events.count("epilogue_start") == events.count("epilogue_done") == 1
+    assert "prologue_done" not in events
+    assert "cmd_start" not in events
 
 
 # -- per-command jobs -------------------------------------------------------------
@@ -204,6 +218,11 @@ def test_per_command_failed_image_skips_command_only(tmp_path):
     done = sim.tracer.events(event="cmd_done", entity_prefix=job_id)
     assert len(done) == 1
     sim.assert_clean()
+    # startup runs to the first command that started, not the failed one
+    (t_prologue, *_), = sim.tracer.events(event="prologue_start", entity_prefix=job_id)
+    (t_first, *_), = sim.tracer.events(event="cmd_start", entity_prefix=job_id)
+    assert t_first > t_prologue
+    assert res.startup_seconds == pytest.approx(t_first - t_prologue, abs=1e-6)
 
 
 # -- crash / restart ---------------------------------------------------------------

@@ -484,6 +484,19 @@ def _upper_layer(rng):
     return layer
 
 
+def _replacing_layer(rng, oracle):
+    """A whiteout, which builds the index, then new paths that sort just
+    before existing files, each followed by a file or symlink over that
+    file."""
+    layer = {f"/{WHITEOUT_PREFIX}{rng.choice(INDEX_SEGMENTS)}": TreeEntry("file", 0o644)}
+    files = sorted(p for p, e in oracle.items() if e.kind == "file")
+    for path in rng.sample(files, min(len(files), 3)):
+        layer[posixpath.join(posixpath.dirname(path), " new")] = _index_entry(rng)
+        layer[path] = rng.choice((TreeEntry("file", 0o600, b"over"),
+                                  TreeEntry("symlink", 0o777, b"", "x")))
+    return layer
+
+
 def _index_step(rng, tree, oracle):
     roll = rng.random()
     if roll < 0.45:
@@ -503,7 +516,7 @@ def _index_step(rng, tree, oracle):
         if rng.random() < 0.5:
             return twin, twin_oracle
     else:
-        upper = _upper_layer(rng)
+        upper = _upper_layer(rng) if rng.random() < 0.5 else _replacing_layer(rng, oracle)
         tree = flatten([tree, FileTree(upper)])
         oracle = _dict_flatten([oracle, upper])
     return tree, oracle
@@ -534,20 +547,55 @@ def _whiteout_stack(whiteouts):
     return [base, upper]
 
 
+def _best_flatten(layers):
+    times = []
+    for _ in range(2):
+        start = time.perf_counter()
+        flatten(layers)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
 def test_flatten_time_does_not_grow_with_whiteouts():
     few, many = _whiteout_stack(100), _whiteout_stack(2000)
     assert len(flatten(few)) - len(flatten(many)) == 1900
-
-    def best(layers):
-        times = []
-        for _ in range(2):
-            start = time.perf_counter()
-            flatten(layers)
-            times.append(time.perf_counter() - start)
-        return min(times)
-
     # a scan of every entry per whiteout makes this ratio grow with the count
-    assert best(many) < 3 * best(few)
+    assert _best_flatten(many) < 3 * _best_flatten(few)
+
+
+def _wide_base():
+    base = FileTree()
+    for d in range(250):
+        base.add_dir(f"/d{d:03}")
+        for f in range(200):
+            base.add_file(f"/d{d:03}/f{f:03}")
+        base.add_file(f"/d{d:03}/sub/x")
+    return base
+
+
+def test_flatten_time_does_not_grow_with_new_paths_after_a_whiteout():
+    base = _wide_base()
+    plain = FileTree()
+    for i in range(20000):  # new paths that sort before every base path
+        plain.add_file(f"/c{i // 200:03}/f{i % 200:03}")
+    whiteout = plain.copy()
+    whiteout.add_file(f"/d000/{WHITEOUT_PREFIX}f000")
+    assert len(flatten([base, plain])) - len(flatten([base, whiteout])) == 1
+    # the whiteout builds the sorted index; shifting it for every new path
+    # after that makes this ratio grow with the base's size
+    assert _best_flatten([base, whiteout]) < 2 * _best_flatten([base, plain])
+
+
+def test_flatten_time_does_not_grow_with_opaque_markers():
+    base = _wide_base()
+    whiteouts, opaque = FileTree(), FileTree()
+    for d in range(250):  # both hide the same 250 entries
+        whiteouts.add_file(f"/d{d:03}/sub/{WHITEOUT_PREFIX}x")
+        opaque.add_file(f"/d{d:03}/sub/{OPAQUE_WHITEOUT}")
+    assert flatten([base, whiteouts]) == flatten([base, opaque])
+    # an opaque marker keeps its dir; dropping and re-adding the dir's path
+    # would rebuild the sorted index once per marker
+    assert _best_flatten([base, opaque]) < 2 * _best_flatten([base, whiteouts])
 
 
 # -- site modification ------------------------------------------------------------

@@ -100,13 +100,6 @@ def test_cache_negative_entries():
     assert c.get(777, now=1.0) == (True, None)
 
 
-def test_cache_flush():
-    c = GroupCache(ttl=600.0)
-    c.put(1, (1,), now=0.0)
-    c.flush()
-    assert len(c) == 0
-
-
 # -- node agent ---------------------------------------------------------------
 
 
