@@ -27,7 +27,6 @@ import statistics
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .clock import Tracer
 from .config import Config
 from .cluster import (MODE_DIRECTIVE, MODE_PER_COMMAND, UDI_GRES, ClusterSim,
                       JobCommand, JobSpec, derive_seed)
@@ -73,14 +72,12 @@ def read_rows(path: str) -> list[BenchRow]:
 
 
 def _measure_startup(n_nodes: int, ranks: int, ref_text: str, size_bytes: int,
-                     mode: str, row_seed: int, config: Config,
-                     tracer: Optional[Tracer] = None) -> float:
+                     mode: str, row_seed: int, config: Config) -> float:
     ref = parse_reference(ref_text)
     registry = LocalRegistry()
     in_repo = f"{ref.repository}/{ref.name}" if ref.repository else ref.name
     registry.add_image(in_repo, ref.tag, fixture_layers(), total_size=size_bytes)
-    sim = ClusterSim(config, seed=row_seed, n_nodes=n_nodes, registry=registry,
-                     tracer=tracer)
+    sim = ClusterSim(config, seed=row_seed, n_nodes=n_nodes, registry=registry)
 
     # pre-pull so the job measures staging, not transfer
     rec = sim.gateway.pull(ref, sim.make_credential())
@@ -133,6 +130,10 @@ LABEL_SUBLINEAR = "sublinear"
 LABEL_LINEAR = "linear"
 LABEL_SUPERLINEAR = "superlinear"
 
+# window slopes below this are sublinear, above SUPERLINEAR_ABOVE superlinear
+SUBLINEAR_BELOW = 0.9
+SUPERLINEAR_ABOVE = 1.1
+
 
 @dataclass(frozen=True)
 class RegimeSegment:
@@ -178,17 +179,15 @@ def _ls_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     return sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / denom
 
 
-def _label(slope: float, sublinear_below: float, superlinear_above: float) -> str:
-    if slope < sublinear_below:
+def _label(slope: float) -> str:
+    if slope < SUBLINEAR_BELOW:
         return LABEL_SUBLINEAR
-    if slope > superlinear_above:
+    if slope > SUPERLINEAR_ABOVE:
         return LABEL_SUPERLINEAR
     return LABEL_LINEAR
 
 
-def classify_scaling(rows: Iterable[BenchRow], window: int = 3,
-                     sublinear_below: float = 0.9,
-                     superlinear_above: float = 1.1) -> ScalingReport:
+def classify_scaling(rows: Iterable[BenchRow], window: int = 3) -> ScalingReport:
     """Label scaling regimes of startup vs nodes in log-log space.
 
     Rows sharing a node count are averaged. Requires at least window + 1
@@ -210,7 +209,7 @@ def classify_scaling(rows: Iterable[BenchRow], window: int = 3,
 
     n_windows = len(pts) - window + 1
     slopes = [_ls_slope(lx[w:w + window], ly[w:w + window]) for w in range(n_windows)]
-    labels = [_label(s, sublinear_below, superlinear_above) for s in slopes]
+    labels = [_label(s) for s in slopes]
 
     # a regime change is anchored at the first point of the first window
     # that carries the new label; segments are contiguous point ranges

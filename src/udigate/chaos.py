@@ -80,9 +80,9 @@ def run_silent_stall(seed: int, config: Config | None = None) -> ScenarioReport:
                                   total_size=3_000_000_000)
     sim = ClusterSim(cfg, seed=seed, n_nodes=0, registry=registry, tracer=tracer)
     # the stream dies silently partway through the second layer
-    registry.set_abort(manifest.layers[1], fraction=0.5, mode="silent", once=True)
+    registry.set_abort(manifest.layers[1], fraction=0.5, mode="silent")
 
-    ref = parse_reference("deep-learning-base:v1", sim.system)
+    ref = parse_reference("deep-learning-base:v1")
     sim.gateway.pull(ref, sim.make_credential())
 
     # let the worker die, then snapshot the wedged record
@@ -212,17 +212,19 @@ def run_forged_archive(seed: int, config: Config | None = None,
 
 # -- scenario 3: crash with duplicate interest, then restart -----------------------
 
-def run_restart_storm(seed: int, config: Config | None = None,
-                      duplicate_pulls: int = 8) -> ScenarioReport:
+DUPLICATE_PULLS = 8  # pulls of one image before the crash, and again after it
+
+
+def run_restart_storm(seed: int, config: Config | None = None) -> ScenarioReport:
     cfg = config or Config()
     tracer = Tracer()
     registry = LocalRegistry()
     manifest = registry.add_image("analytics-stack", "2024.1", fixture_layers(),
                                   total_size=3_000_000_000)
     sim = ClusterSim(cfg, seed=seed, n_nodes=0, registry=registry, tracer=tracer)
-    ref = parse_reference("analytics-stack:2024.1", sim.system)
+    ref = parse_reference("analytics-stack:2024.1")
 
-    for _ in range(duplicate_pulls):
+    for _ in range(DUPLICATE_PULLS):
         sim.gateway.pull(ref, sim.make_credential())
     tasks_before = sim.tasks_created
 
@@ -232,7 +234,7 @@ def run_restart_storm(seed: int, config: Config | None = None,
     recovered = sim.restart_gateway()
 
     # the same callers all come back after the restart
-    for _ in range(duplicate_pulls):
+    for _ in range(DUPLICATE_PULLS):
         sim.gateway.pull(ref, sim.make_credential())
     sim.clock.run_until_idle()
 
@@ -241,7 +243,7 @@ def run_restart_storm(seed: int, config: Config | None = None,
     worst_layer_fetch = max(registry.layer_fetches[d] for d in manifest.layers)
 
     details: dict = {
-        "duplicate_pulls_per_round": duplicate_pulls,
+        "duplicate_pulls_per_round": DUPLICATE_PULLS,
         "tasks_first_round": tasks_before,
         "tasks_total": sim.tasks_created,
         "recovered_transients": len(recovered),
@@ -392,8 +394,7 @@ def run_resolver_storm(seed: int, config: Config | None = None,
     return ScenarioReport(5, SCENARIO_NAMES[5], passed, details, cold.tracer)
 
 
-def run_scenario(scenario: int, seed: int = 1, config: Config | None = None,
-                 **params) -> ScenarioReport:
+def run_scenario(scenario: int, seed: int = 1, config: Config | None = None) -> ScenarioReport:
     runners = {
         1: run_silent_stall,
         2: run_forged_archive,
@@ -404,7 +405,7 @@ def run_scenario(scenario: int, seed: int = 1, config: Config | None = None,
     runner = runners.get(scenario)
     if runner is None:
         raise UnknownScenario(f"no scenario {scenario}; valid: {sorted(runners)}")
-    return runner(seed, config, **params)
+    return runner(seed, config)
 
 
 def run_all(seed: int = 1, config: Config | None = None) -> list[ScenarioReport]:

@@ -11,6 +11,8 @@ import heapq
 import time as _time
 from typing import Callable, Iterable, Optional
 
+MAX_EVENTS = 10_000_000  # run_until_idle's budget; more means a runaway loop
+
 
 class SystemClock:
     """Wall clock, used by the real-service runtime."""
@@ -37,8 +39,8 @@ class EventHandle:
 
 
 class VirtualClock:
-    def __init__(self, start: float = 0.0):
-        self._now = float(start)
+    def __init__(self):
+        self._now = 0.0
         self._heap: list[EventHandle] = []
         self._seq = 0
 
@@ -64,14 +66,14 @@ class VirtualClock:
             raise ValueError("cannot advance backwards")
         self._now += dt
 
-    def run_until_idle(self, max_events: int = 10_000_000) -> int:
+    def run_until_idle(self) -> int:
         """Run events in order until the queue drains. Returns events run."""
         ran = 0
         while self._heap:
             ev = heapq.heappop(self._heap)
             if ev.cancelled:
                 continue
-            if ran >= max_events:
+            if ran >= MAX_EVENTS:
                 raise RuntimeError(f"event budget exhausted at t={self._now}")
             self._now = ev.time
             ev.fn()

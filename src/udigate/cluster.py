@@ -179,12 +179,9 @@ class ClusterSim:
     def __init__(self, config: Config, seed: int, n_nodes: int,
                  registry: Optional[LocalRegistry] = None,
                  state_dir: Optional[str] = None,
-                 tracer: Optional[Tracer] = None,
-                 system: str = "local",
-                 identity_directory: Optional[dict[int, tuple[int, ...]]] = None):
+                 tracer: Optional[Tracer] = None):
         self.config = config
         self.seed = seed
-        self.system = system
         self.clock = VirtualClock()
         self.tracer = tracer if tracer is not None else Tracer()
         self.registry = registry if registry is not None else LocalRegistry()
@@ -197,9 +194,8 @@ class ClusterSim:
         self.gateway = self._make_gateway()
         self.gateway.recover_on_startup()
 
-        directory = identity_directory or {DEFAULT_UID: DEFAULT_GIDS}
         self.identity = IdentityBackend(
-            directory, cap=config.identity_cap, timeout=config.identity_timeout,
+            {DEFAULT_UID: DEFAULT_GIDS}, cap=config.identity_cap, timeout=config.identity_timeout,
             latency_mean=config.identity_latency_mean,
             latency_jitter=config.identity_latency_jitter,
             rng=derive_rng(seed, "identity"), tracer=self.tracer)
@@ -391,7 +387,7 @@ class _JobRun:
         Polls are read-only on purpose: the pull request was made once, and
         a job watching progress must not spawn retries on its own."""
         try:
-            ref = parse_reference(ref_text, self.sim.system)
+            ref = parse_reference(ref_text)
             rec = self.sim.gateway.pull(ref, self.cred)
         except UdigateError as exc:
             raise _JobFailed(f"pull of {ref_text} rejected: {type(exc).__name__}: {exc}") from None
@@ -423,7 +419,7 @@ class _JobRun:
                 staged.append((node, 0.0))
                 continue
             try:
-                _handle, identity_wait = node.mount_udi(desc, self.cred, self.job_id)
+                identity_wait = node.mount_udi(desc, self.cred, self.job_id)
             except UdigateError as exc:
                 failures.append(f"{node.name}: {type(exc).__name__}: {exc}")
                 self.sim.tracer.emit(self._now(), node.name, "mount_fail",
@@ -483,9 +479,7 @@ class _JobRun:
             self.result.exec_duration = self._now() - t_exec
 
         self._trace("epilogue_start")
-        worst = max(len(n.mounts_for(self.job_id)) for n in self.nodes)
-        for node in self.nodes:
-            node.unmount_job(self.job_id)
+        worst = max(node.unmount_job(self.job_id) for node in self.nodes)
         for hook in self.sim.gateway.site.cleanup_commands:
             self._trace("cleanup", [("hook", hook)])
         duration = worst * self.sim.config.unmount_cost

@@ -30,7 +30,8 @@ run of the list, so removing it costs O(log n + subtree) rather than a scan
 of all n entries. Flatten replaces an entry in place, dropping only what lies
 below it, so a replacement adds no path; and since making an entry's parents
 dirs replaces non-dir ancestors, a non-dir in a flatten result has nothing
-below it and replacing one is a plain overwrite.
+below it and replacing one is a plain overwrite. A layer's removals run
+before its inserts (bar an opaque marker's new dir), so one build serves all.
 
 Paths and entries are checked at two gates, once each: ``tree_from_blob``
 for registry bytes, and ``FileTree.set_entry`` for everything else. Both run
@@ -297,15 +298,13 @@ def blob_digest(data: bytes) -> str:
 
 def _ensure_parent_dirs(result: FileTree, path: str) -> None:
     """Make every proper ancestor of a normalized path a dir, top down: a
-    missing one is created, a non-dir one is replaced with its subtree."""
+    missing one is created, a non-dir one (with nothing below) overwritten."""
     entries = result._entries
     end = path.find("/", 1)
     while end != -1:
         parent = path[:end]
         ent = entries.get(parent)
         if ent is None or ent.kind != KIND_DIR:
-            if ent is not None:
-                result._remove_below(parent)
             result._put(parent, _DEFAULT_DIR)
         end = path.find("/", end + 1)
 
@@ -316,8 +315,11 @@ def _make_opaque(result: FileTree, marker: str, parent: str) -> None:
     if not parent:
         result.clear()
         return
-    _ensure_parent_dirs(result, marker)
-    result._remove_below(parent)
+    existing = result._entries.get(parent)
+    if existing is not None and existing.kind == KIND_DIR:
+        result._remove_below(parent)
+    else:  # nothing lies below a missing or non-dir parent
+        _ensure_parent_dirs(result, marker)
 
 
 def apply_layer(result: FileTree, layer: FileTree) -> None:
@@ -338,14 +340,17 @@ def apply_layer(result: FileTree, layer: FileTree) -> None:
                 raise MalformedLayer(f"whiteout with empty target: {path}")
             result.remove_subtree(f"{parent}/{victim}")
     entries = result._entries
+    # a non-dir over a dir drops its subtree, before any insert drops the
+    # index; no path inserted earlier in this pass could lie below it
+    for path, _, entry in plain:
+        existing = entries.get(path)
+        if existing is not None and existing.kind == KIND_DIR != entry.kind:
+            result._remove_below(path)
     confirmed = None  # the parent made a dir for the previous entry
     for path, parent, entry in plain:
         if parent != confirmed:
             _ensure_parent_dirs(result, path)
             confirmed = parent
-        existing = entries.get(path)
-        if existing is not None and existing.kind == KIND_DIR != entry.kind:
-            result._remove_below(path)  # a non-dir over a dir drops its subtree
         result._put(path, entry)  # dir over dir refreshes the mode, children survive
 
 

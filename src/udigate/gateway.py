@@ -38,7 +38,7 @@ from .authsvc import Credential, Principal
 from .config import Config
 from .errors import (AuthError, IllegalTransition, LeaseRevoked, NotFound,
                      UdigateError, VerifyError)
-from .filetree import SiteConfig, apply_site_mods, default_site_config, flatten, tree_from_blob
+from .filetree import apply_site_mods, default_site_config, flatten, tree_from_blob
 from .refs import ImageReference
 from .registry import SilentAbort
 from .udi import verify_udi, write_udi
@@ -139,7 +139,7 @@ AuditHook = Callable[[str, Optional[ImageState], Optional[ImageState], ImageReco
 
 class Gateway:
     def __init__(self, config: Config, clock, registry, state_dir: str,
-                 verifier=None, site: Optional[SiteConfig] = None,
+                 verifier=None,
                  task_sink: Optional[Callable[[PullTask], None]] = None,
                  audit_hook: Optional[AuditHook] = None,
                  tracer=None, rng=None):
@@ -148,7 +148,7 @@ class Gateway:
         self.registry = registry
         self.state_dir = state_dir
         self.verifier = verifier
-        self.site = site if site is not None else default_site_config()
+        self.site = default_site_config()
         self.task_sink = task_sink
         self.audit_hook = audit_hook
         self.tracer = tracer
@@ -161,14 +161,19 @@ class Gateway:
         from .store import RecordLog, load_entries
         self._log = RecordLog(os.path.join(state_dir, "records.log"))
         entries, skipped = load_entries(self._log.path)
+        for entry in entries:
+            try:  # an entry replay cannot use is skipped like an undecodable frame
+                if entry["op"] == "delete":
+                    self._records.pop(entry["key"], None)
+                elif entry["op"] == "put":
+                    self._records[entry["key"]] = ImageRecord.from_store_dict(entry["record"])
+                else:
+                    raise ValueError(f"unknown op {entry['op']!r}")
+            except (KeyError, TypeError, ValueError) as exc:
+                skipped += 1
+                log.warning("record log %s: unusable entry skipped (%r)", self._log.path, exc)
         if skipped:
             log.warning("record log: skipped %d unreadable entries", skipped)
-        for entry in entries:
-            key = entry["key"]
-            if entry["op"] == "delete":
-                self._records.pop(key, None)
-            else:
-                self._records[key] = ImageRecord.from_store_dict(entry["record"])
 
     @property
     def udi_dir(self) -> str:
@@ -204,7 +209,10 @@ class Gateway:
             setattr(rec, name, value)
         rec.state = new
         rec.updated_at = self.clock.now()
-        if new in TRANSIENT_STATES:
+        if new is ImageState.ENQUEUED:  # every (re)entry gets a fresh lease
+            rec.lease_id = self._next_lease()
+            rec.lease_expires_at = rec.updated_at + self.config.lease_duration
+        elif new in TRANSIENT_STATES:
             if rec.lease_expires_at <= rec.updated_at:
                 rec.lease_expires_at = rec.updated_at + self.config.lease_duration
         else:
@@ -218,14 +226,11 @@ class Gateway:
 
     def _create_record(self, ref: ImageReference) -> ImageRecord:
         now = self.clock.now()
-        rec = ImageRecord(ref=ref, state=ImageState.ENQUEUED, created_at=now,
+        # built with no state so that creation goes through the choke point too
+        rec = ImageRecord(ref=ref, state=None, created_at=now,  # type: ignore[arg-type]
                           updated_at=now, attempts=1)
-        # built directly in ENQUEUED; route through the choke point anyway
-        rec.state = None  # type: ignore[assignment]
         self._records[ref.key()] = rec
-        rec.lease_id = self._next_lease()
-        rec.lease_expires_at = now + self.config.lease_duration
-        self._transition(rec, ImageState.ENQUEUED, attempts=1)
+        self._transition(rec, ImageState.ENQUEUED)
         return rec
 
     def _delete_record(self, rec: ImageRecord) -> None:
@@ -265,8 +270,6 @@ class Gateway:
                 if rec.attempts >= self.config.max_attempts:
                     outcome = "sticky_failed"
                 else:
-                    rec.lease_id = self._next_lease()
-                    rec.lease_expires_at = self.clock.now() + self.config.lease_duration
                     self._transition(rec, ImageState.ENQUEUED,
                                      attempts=rec.attempts + 1, last_error="")
                     task = self._task_for(rec)
@@ -324,31 +327,28 @@ class Gateway:
 
     # -- maintenance ------------------------------------------------------------
 
-    def sweep_stale(self) -> list[ImageRecord]:
-        """Fail every transient record whose lease has lapsed."""
-        now = self.clock.now()
+    def _fail_transients(self, stale: Callable[[ImageRecord], bool],
+                         why: str) -> list[ImageRecord]:
+        """Fail every transient record that ``stale`` picks; last_error is
+        ``why`` plus the state it was stuck in."""
         flipped = []
         with self._lock:
             for rec in list(self._records.values()):
-                if rec.state in TRANSIENT_STATES and rec.lease_expires_at < now:
-                    stuck_in = rec.state.value
+                if rec.state in TRANSIENT_STATES and stale(rec):
                     self._transition(rec, ImageState.FAILED,
-                                     last_error=f"lease expired in {stuck_in}")
+                                     last_error=f"{why} {rec.state.value}")
                     flipped.append(rec.snapshot())
         return flipped
+
+    def sweep_stale(self) -> list[ImageRecord]:
+        """Fail every transient record whose lease has lapsed."""
+        now = self.clock.now()
+        return self._fail_transients(lambda rec: rec.lease_expires_at < now, "lease expired in")
 
     def recover_on_startup(self) -> list[ImageRecord]:
         """Fail anything still transient in the replayed store. Must run
         before traffic: a restart proves the old workers are gone."""
-        flipped = []
-        with self._lock:
-            for rec in list(self._records.values()):
-                if rec.state in TRANSIENT_STATES:
-                    stuck_in = rec.state.value
-                    self._transition(rec, ImageState.FAILED,
-                                     last_error=f"gateway restart during {stuck_in}")
-                    flipped.append(rec.snapshot())
-        return flipped
+        return self._fail_transients(lambda rec: True, "gateway restart during")
 
     def has_transient(self) -> bool:
         with self._lock:

@@ -15,27 +15,14 @@ on disk, and no verify cache keyed on file stat.
 from __future__ import annotations
 
 import heapq
-import logging
-from dataclasses import dataclass
 from typing import Optional
 
-from .authsvc import Credential, CredentialVerifier, Principal
+from .authsvc import Credential, CredentialVerifier
 from .config import Config
 from .errors import (AlreadyMounted, AuthServiceDown, IdentityTimeout, NotFound,
                      UdiCorrupt)
 # scan_udi stays importable here: wallbench/spans.py wraps nodeagent.scan_udi by name
 from .udi import UdiDescriptor, scan_udi, verify_udi  # noqa: F401
-
-log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class MountHandle:
-    node_id: int
-    job_id: str
-    digest: str
-    path: str
-    mounted_at: float
 
 
 class GroupCache:
@@ -122,7 +109,7 @@ class IdentityBackend:
 
 
 class NodeAgent:
-    def __init__(self, node_id: int, clock, verifier: Optional[CredentialVerifier],
+    def __init__(self, node_id: int, clock, verifier: CredentialVerifier,
                  identity, config: Config, tracer=None):
         self.node_id = int(node_id)
         self.name = f"node/{self.node_id:04d}"
@@ -133,7 +120,7 @@ class NodeAgent:
         self.tracer = tracer
         self.auth_up = True
         self.cache = GroupCache(config.cache_ttl)
-        self._mounts: dict[tuple[str, str], MountHandle] = {}
+        self._mounts: dict[str, set[str]] = {}  # job id -> mounted content digests
         self.cache_hits = 0
         self.cache_misses = 0
         self.mounts_done = 0
@@ -173,20 +160,15 @@ class NodeAgent:
 
     # -- mount lifecycle ------------------------------------------------------------
 
-    def mount_udi(self, desc: UdiDescriptor, cred: Credential, job_id: str) -> tuple[MountHandle, float]:
-        """Validate everything, register the mount. Returns (handle,
-        identity_wait). Raises AuthServiceDown, MacMismatch,
-        CredentialExpired, UdiCorrupt, NotFound, IdentityTimeout,
-        AlreadyMounted."""
+    def mount_udi(self, desc: UdiDescriptor, cred: Credential, job_id: str) -> float:
+        """Validate everything, register the mount. Returns the identity
+        wait. Raises AuthServiceDown, MacMismatch, CredentialExpired,
+        UdiCorrupt, NotFound, IdentityTimeout, AlreadyMounted."""
         if not self.auth_up:
             raise AuthServiceDown(f"{self.name}: credential service down on node")
-        if self.verifier is not None:
-            principal = self.verifier.verify(cred)
-        else:
-            principal = Principal(uid=cred.uid, gids=cred.gids, scope=cred.scope)
+        principal = self.verifier.verify(cred)
 
-        key = (job_id, desc.content_digest)
-        if key in self._mounts:
+        if self.has_mount(job_id, desc.content_digest):
             raise AlreadyMounted(f"{self.name}: {desc.content_digest[:12]} already mounted for {job_id}")
 
         check = verify_udi(desc.path)
@@ -197,37 +179,22 @@ class NodeAgent:
 
         gids, wait = self.resolve_groups(principal.uid)
 
-        handle = MountHandle(node_id=self.node_id, job_id=job_id,
-                             digest=desc.content_digest, path=desc.path,
-                             mounted_at=self.clock.now())
-        self._mounts[key] = handle
+        self._mounts.setdefault(job_id, set()).add(desc.content_digest)
         self.mounts_done += 1
         self._trace("mount", [("job", job_id), ("digest", desc.content_digest[:12]),
                               ("groups", len(gids))])
-        return handle, wait
+        return wait
 
     def has_mount(self, job_id: str, digest: str) -> bool:
-        return (job_id, digest) in self._mounts
-
-    def mounts_for(self, job_id: str) -> list[MountHandle]:
-        return [h for (j, _), h in sorted(self._mounts.items()) if j == job_id]
-
-    def unmount_udi(self, job_id: str, digest: str) -> bool:
-        """Idempotent: unmounting something absent is a logged no-op."""
-        handle = self._mounts.pop((job_id, digest), None)
-        if handle is None:
-            log.debug("%s: unmount of absent (%s, %s)", self.name, job_id, digest[:12])
-            return False
-        self._trace("unmount", [("job", job_id), ("digest", digest[:12])])
-        return True
+        return digest in self._mounts.get(job_id, ())
 
     def unmount_job(self, job_id: str) -> int:
-        count = 0
-        for (j, digest) in sorted(self._mounts):
-            if j == job_id:
-                self.unmount_udi(job_id, digest)
-                count += 1
-        return count
+        """Drop every mount of a job, tracing each in digest order. Returns
+        how many there were; a job with none is a no-op."""
+        digests = sorted(self._mounts.pop(job_id, ()))
+        for digest in digests:
+            self._trace("unmount", [("job", job_id), ("digest", digest[:12])])
+        return len(digests)
 
     def mount_count(self) -> int:
-        return len(self._mounts)
+        return sum(len(digests) for digests in self._mounts.values())

@@ -88,13 +88,6 @@ def fixture_layers() -> list[FileTree]:
     return [base, app, cfg]
 
 
-@dataclass
-class _Abort:
-    fraction: float
-    mode: str  # "error" | "silent"
-    once: bool = True
-
-
 class LocalRegistry:
     def __init__(self):
         self._images: dict[str, Manifest] = {}
@@ -104,7 +97,7 @@ class LocalRegistry:
         self.layer_fetches: Counter = Counter()
         self._down = False
         self._corrupt: set[str] = set()
-        self._aborts: dict[str, _Abort] = {}
+        self._aborts: dict[str, tuple[float, str]] = {}  # digest -> (fraction, mode)
 
     # -- population ---------------------------------------------------------
 
@@ -143,11 +136,12 @@ class LocalRegistry:
             else:
                 self._corrupt.discard(digest)
 
-    def set_abort(self, digest: str, fraction: float, mode: str = "error", once: bool = True) -> None:
+    def set_abort(self, digest: str, fraction: float, mode: str = "error") -> None:
+        """Abort the next transfer of a layer past ``fraction``, once."""
         if mode not in ("error", "silent"):
             raise ValueError(f"unknown abort mode {mode!r}")
         with self._lock:
-            self._aborts[digest] = _Abort(fraction=fraction, mode=mode, once=once)
+            self._aborts[digest] = (fraction, mode)
 
     # -- fetch interface ------------------------------------------------------
 
@@ -167,13 +161,11 @@ class LocalRegistry:
         with self._lock:
             if self._down:
                 raise RegistryIoError("registry unreachable")
-            ab = self._aborts.get(digest)
-            if ab is not None and fraction >= ab.fraction:
-                if ab.once:
-                    del self._aborts[digest]
-                mode = ab.mode
-            else:
+            abort = self._aborts.get(digest)
+            if abort is None or fraction < abort[0]:
                 return
+            del self._aborts[digest]
+            mode = abort[1]
         if mode == "error":
             raise RegistryIoError(f"stream aborted at {fraction:.0%} of layer {digest[:12]}")
         raise SilentAbort(digest)

@@ -9,7 +9,10 @@ Frame layout per entry, little-endian:
 Load semantics are deliberately asymmetric:
 
   * a complete frame whose crc does not match is SKIPPED with a warning,
-    one rotted entry must not take the whole store down
+    one rotted entry must not take the whole store down; so is one whose
+    crc matches but whose payload is not JSON, and the gateway's replay
+    skips and counts likewise an entry it cannot use (no key, an unknown
+    op, a record with a missing field or an unknown state)
   * a frame cut off mid-way (torn header or short payload) raises
     PersistenceCorrupt, a truncated tail means the file is not trustworthy
     and the service must refuse to serve from it

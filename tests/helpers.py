@@ -14,6 +14,7 @@ from udigate.filetree import (
     WHITEOUT_PREFIX,
     FileTree,
 )
+from udigate.store import RecordLog
 
 NAME_POOL = ["a", "b", "c", "d", "e", "f"]
 OPAQUE_MARKER = ".wh..wh..opq"  # OCI: hide the lower contents of this dir
@@ -215,3 +216,20 @@ def read_back_tree(root: str) -> FileTree:
 
     visit(root, "/")
     return tree
+
+
+def append_unusable_entries(state_dir: str, ready: dict, lost) -> None:
+    """Append to a gateway's record log five frames whose crc matches but
+    that replay cannot use. ``ready`` is the store dict of a READY record;
+    the unknown-op frame carries it, renamed to the reference ``lost``, so
+    a replay that took that frame for a put would serve ``lost``."""
+    record = {**ready, "system": lost.system, "repository": lost.repository,
+              "name": lost.name, "tag": lost.tag}
+    log = RecordLog(os.path.join(state_dir, "records.log"))
+    for entry in ({"op": "put", "key": "k", "record": {}},
+                  {"op": "put", "key": "k"},
+                  [1, 2],
+                  {"op": "bogus", "key": lost.key(), "record": record},
+                  {"op": "put", "key": lost.key(), "record": {**record, "state": "NOPE"}}):
+        log.append(entry)
+    log.close()

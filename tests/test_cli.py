@@ -6,10 +6,11 @@ import sys
 
 import pytest
 
-from helpers import payload_tree, tiny_tree
+from helpers import append_unusable_entries, payload_tree, tiny_tree
 from udigate.bench import read_rows
 from udigate.cli import main
 from udigate.clock import SystemClock
+from udigate.config import Config
 from udigate.gateway import Gateway, ImageState
 from udigate.refs import parse_reference
 from udigate.registry import LocalRegistry
@@ -192,3 +193,17 @@ def test_admin_expire_lifecycle(ready_state_dir, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "NotFound" in err
+
+
+def test_admin_expire_skips_unusable_log_entries(ready_state_dir):
+    ready = Gateway(Config(), SystemClock(), LocalRegistry(), ready_state_dir)
+    record = ready.lookup(parse_reference("team/app:v1")).to_store_dict()
+    ready.close()
+    append_unusable_entries(ready_state_dir, record, parse_reference("team/lost:v1"))
+    proc = subprocess.run([sys.executable, "-m", "udigate.cli", "admin", "expire",
+                           "team/lost:v1", "--state-dir", ready_state_dir],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "skipped 5 unreadable entries" in proc.stderr
+    assert "NotFound" in proc.stderr

@@ -467,7 +467,7 @@ def _index_entry(rng):
     return TreeEntry("symlink", 0o777, b"", rng.choice(INDEX_SEGMENTS))
 
 
-def _upper_layer(rng):
+def _upper_layer(rng, oracle):
     layer = {}
     for _ in range(rng.randrange(1, 8)):
         path = _index_path(rng)
@@ -497,6 +497,34 @@ def _replacing_layer(rng, oracle):
     return layer
 
 
+def _dir_replacing_layer(rng, oracle):
+    """New paths, each followed in the same parent by a file or symlink over
+    an existing dir, so that the dir's removal comes after an insert."""
+    layer = {}
+    dirs = sorted(p for p, e in oracle.items() if e.kind == "dir")
+    for path in rng.sample(dirs, min(len(dirs), 3)):
+        layer[posixpath.join(posixpath.dirname(path), " new")] = _index_entry(rng)
+        layer[path] = rng.choice((TreeEntry("file", 0o600, b"over"),
+                                  TreeEntry("symlink", 0o777, b"", "x")))
+    return layer
+
+
+def _opaque_new_dirs_layer(rng, oracle):
+    """Opaque markers in dirs no lower layer has, mixed with whiteouts and
+    markers on existing dirs, so that removals come after the new dirs."""
+    layer = {}
+    for _ in range(rng.randrange(1, 5)):
+        parent = _index_path(rng)
+        name = rng.choice((OPAQUE_WHITEOUT, OPAQUE_WHITEOUT,
+                           WHITEOUT_PREFIX + rng.choice(INDEX_SEGMENTS)))
+        layer[f"{parent}/{rng.choice(('new', 'x'))}/{name}"] = TreeEntry("file", 0o644)
+    return layer
+
+
+_LAYER_SHAPES = (_upper_layer, _upper_layer, _replacing_layer, _dir_replacing_layer,
+                 _opaque_new_dirs_layer)
+
+
 def _index_step(rng, tree, oracle):
     roll = rng.random()
     if roll < 0.45:
@@ -516,7 +544,7 @@ def _index_step(rng, tree, oracle):
         if rng.random() < 0.5:
             return twin, twin_oracle
     else:
-        upper = _upper_layer(rng) if rng.random() < 0.5 else _replacing_layer(rng, oracle)
+        upper = rng.choice(_LAYER_SHAPES)(rng, oracle)
         tree = flatten([tree, FileTree(upper)])
         oracle = _dict_flatten([oracle, upper])
     return tree, oracle
@@ -586,15 +614,42 @@ def test_flatten_time_does_not_grow_with_new_paths_after_a_whiteout():
     assert _best_flatten([base, whiteout]) < 2 * _best_flatten([base, plain])
 
 
-def test_flatten_time_does_not_grow_with_opaque_markers():
-    base = _wide_base()
-    whiteouts, opaque = FileTree(), FileTree()
-    for d in range(250):  # both hide the same 250 entries
+def _hide_250_subs():
+    """250 whiteouts that each hide one entry of the wide base."""
+    whiteouts = FileTree()
+    for d in range(250):
         whiteouts.add_file(f"/d{d:03}/sub/{WHITEOUT_PREFIX}x")
+    return whiteouts
+
+
+def test_flatten_time_does_not_grow_with_opaque_markers():
+    base, whiteouts, opaque = _wide_base(), _hide_250_subs(), FileTree()
+    for d in range(250):  # both hide the same 250 entries
         opaque.add_file(f"/d{d:03}/sub/{OPAQUE_WHITEOUT}")
     assert flatten([base, whiteouts]) == flatten([base, opaque])
     # an opaque marker keeps its dir; dropping and re-adding the dir's path
     # would rebuild the sorted index once per marker
+    assert _best_flatten([base, opaque]) < 2 * _best_flatten([base, whiteouts])
+
+
+def test_flatten_time_does_not_grow_with_dirs_replaced_after_new_paths():
+    base, whiteouts, replacing = _wide_base(), _hide_250_subs(), FileTree()
+    for d in range(250):
+        replacing.add_file(f"/d{d:03}/sua")  # new, and sorts just before sub
+        replacing.add_file(f"/d{d:03}/sub")  # a file over the dir sub/
+    assert len(flatten([base, replacing])) == len(flatten([base, whiteouts])) + 250
+    # removing what lies below each sub/ after inserting the path before it
+    # would rebuild the sorted index once per dir
+    assert _best_flatten([base, replacing]) < 2 * _best_flatten([base, whiteouts])
+
+
+def test_flatten_time_does_not_grow_with_opaque_markers_in_new_dirs():
+    base, whiteouts, opaque = _wide_base(), _hide_250_subs(), FileTree()
+    for d in range(250):
+        opaque.add_file(f"/d{d:03}/new/{OPAQUE_WHITEOUT}")
+    assert len(flatten([base, opaque])) == len(flatten([base, whiteouts])) + 500
+    # a new dir has nothing below it; removing below it right after
+    # inserting it would rebuild the sorted index once per marker
     assert _best_flatten([base, opaque]) < 2 * _best_flatten([base, whiteouts])
 
 

@@ -1,10 +1,12 @@
 """Gateway state machine, single-flight, leases, recovery, and expiry."""
 
 import json
+import logging
 import os
 
 import pytest
 
+from helpers import append_unusable_entries
 from udigate.authsvc import CredentialVerifier, issue_credential
 from udigate.clock import VirtualClock
 from udigate.errors import (
@@ -276,6 +278,26 @@ def test_torn_log_refused(rig, fast_cfg):
         fh.write(b"\x99\x00\x00\x00\x01\x02")  # header promises more than exists
     with pytest.raises(PersistenceCorrupt):
         Gateway(fast_cfg, clock, make_registry(), gw.state_dir)
+
+
+def test_unusable_log_entries_are_skipped(rig, fast_cfg, caplog):
+    gw, clock, registry = rig
+    gw.pull(REF)
+    drive(gw, clock)
+    gw.close()
+    lost = parse_reference("app/beta:v1")
+    append_unusable_entries(gw.state_dir, gw.lookup(REF).to_store_dict(), lost)
+
+    with caplog.at_level(logging.WARNING, logger="udigate.gateway"):
+        reborn = Gateway(fast_cfg, clock, registry, gw.state_dir)
+    try:
+        assert [r.ref for r in reborn.list_records(REF.system)] == [REF]
+        assert reborn.lookup(REF).state is ImageState.READY
+        with pytest.raises(NotFound):
+            reborn.lookup(lost)
+        assert "skipped 5 unreadable entries" in caplog.text
+    finally:
+        reborn.close()
 
 
 def test_expire_ready_unlinks_archive(rig):

@@ -7,13 +7,22 @@ trace on purpose updates the value here and gives the reason in CHANGES.md.
 
 import hashlib
 
+import pytest
+
 from test_cluster import _trace_for
 from udigate.chaos import run_all
+from udigate.cli import main
 
 # two jobs on 8 nodes, seed 11, a Directive job and a PerCommand job: 3,867 bytes
 CLUSTER_TRACE_SHA256 = "96b5208a001ba36b6d56935b0848151167ae63c603a1c9800ba09ca12c3547f0"
 # every chaos scenario, seed 1, traces concatenated in scenario order
 CHAOS_TRACE_SHA256 = "ca1f64754570c45d9f3bb1f742566485861f0a2efdd924b5469827caff6154c7"
+# bench startup --nodes 1,8,64 --ranks 1,4 --image a:b=1e8 --image c:d=3e9
+# --seed 1, the CSV file per mode
+BENCH_CSV_SHA256 = {
+    "Directive": "4df44cbd7fe5a954820e1ec5fdc144462b53a5b6632d4761098a959c1a9e0cbc",
+    "PerCommand": "e53fc02ff7a82f3253127e8334dff7930d46cda93d653561574b8ee1fdab105e",
+}
 
 
 def _sha256(text: str) -> str:
@@ -27,3 +36,12 @@ def test_cluster_trace_matches_golden(tmp_path):
 def test_chaos_traces_match_golden():
     text = "".join(report.tracer.text() for report in run_all(seed=1))
     assert _sha256(text) == CHAOS_TRACE_SHA256
+
+
+@pytest.mark.parametrize("mode", sorted(BENCH_CSV_SHA256))
+def test_bench_startup_csv_matches_golden(mode, tmp_path, capsys):
+    csv_path = tmp_path / "startup.csv"
+    assert main(["bench", "startup", "--nodes", "1,8,64", "--ranks", "1,4",
+                 "--image", "a:b=1e8", "--image", "c:d=3e9", "--mode", mode,
+                 "--seed", "1", "--csv", str(csv_path)]) == 0
+    assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == BENCH_CSV_SHA256[mode]

@@ -5,7 +5,7 @@ import pytest
 import udigate.nodeagent
 from helpers import payload_tree
 from udigate.authsvc import CredentialVerifier, issue_credential
-from udigate.clock import VirtualClock
+from udigate.clock import Tracer, VirtualClock
 from udigate.errors import (
     AlreadyMounted,
     AuthServiceDown,
@@ -120,9 +120,7 @@ def rig(fast_cfg, tmp_path):
 
 def test_mount_happy_path(rig):
     agent, clock, _, desc, cred = rig
-    handle, wait = agent.mount_udi(desc, cred, "job-1")
-    assert handle.node_id == 7
-    assert handle.digest == desc.content_digest
+    wait = agent.mount_udi(desc, cred, "job-1")
     assert wait == 1.0  # first resolution goes to the backend
     assert agent.has_mount("job-1", desc.content_digest)
     assert agent.mount_count() == 1
@@ -161,7 +159,8 @@ def test_cache_disabled_always_hits_backend(fast_cfg):
     cfg = fast_cfg.replace(identity_latency_mean=1.0, cache_enabled=False)
     clock = VirtualClock()
     identity = IdentityBackend(DIRECTORY, cap=500, timeout=5.0, latency_mean=1.0)
-    agent = NodeAgent(1, clock, None, identity, cfg)
+    agent = NodeAgent(1, clock, CredentialVerifier(SECRET, ttl=cfg.credential_ttl, clock=clock),
+                      identity, cfg)
     agent.resolve_groups(1001)
     agent.resolve_groups(1001)
     assert identity.requests == 2
@@ -172,7 +171,8 @@ def test_timeout_never_cached(fast_cfg):
     cfg = fast_cfg.replace(identity_latency_mean=2.0, identity_timeout=1.0)
     clock = VirtualClock()
     identity = IdentityBackend(DIRECTORY, cap=1, timeout=1.0, latency_mean=2.0)
-    agent = NodeAgent(1, clock, None, identity, cfg)
+    agent = NodeAgent(1, clock, CredentialVerifier(SECRET, ttl=cfg.credential_ttl, clock=clock),
+                      identity, cfg)
     agent.resolve_groups(1001)
     with pytest.raises(IdentityTimeout):
         agent.resolve_groups(1002)  # queued behind, waits past timeout
@@ -241,16 +241,16 @@ def test_duplicate_mount_rejected(rig):
     with pytest.raises(AlreadyMounted):
         agent.mount_udi(desc, cred, "job-1")
     # same archive for a different job is a separate mount
-    handle, _ = agent.mount_udi(desc, cred, "job-2")
-    assert handle.job_id == "job-2"
+    agent.mount_udi(desc, cred, "job-2")
+    assert agent.has_mount("job-2", desc.content_digest)
     assert agent.mount_count() == 2
 
 
 def test_unmount_idempotent(rig):
     agent, _, _, desc, cred = rig
     agent.mount_udi(desc, cred, "job-1")
-    assert agent.unmount_udi("job-1", desc.content_digest) is True
-    assert agent.unmount_udi("job-1", desc.content_digest) is False
+    assert agent.unmount_job("job-1") == 1
+    assert agent.unmount_job("job-1") == 0
     assert agent.mount_count() == 0
 
 
@@ -258,12 +258,19 @@ def test_unmount_job_clears_only_that_job(rig, tmp_path):
     agent, clock, _, desc, cred = rig
     other = write_udi(payload_tree(b"other"), str(tmp_path / "o.udi"),
                       source_ref="a/c:v1", created_at=0.0)
+    agent.tracer = Tracer()
     agent.mount_udi(desc, cred, "job-1")
     agent.mount_udi(other, cred, "job-1")
     agent.mount_udi(desc, cred, "job-2")
     assert agent.unmount_job("job-1") == 2
+    # traced in digest order, whatever order the mounts came in
+    unmounted = [details for _, _, _, details in agent.tracer.events("unmount")]
+    assert unmounted == [f"job=job-1 digest={d[:12]}"
+                         for d in sorted((desc.content_digest, other.content_digest))]
     assert agent.mount_count() == 1
-    assert agent.mounts_for("job-2")[0].digest == desc.content_digest
+    assert agent.has_mount("job-2", desc.content_digest)
+    assert not agent.has_mount("job-1", desc.content_digest)
+    assert not agent.has_mount("job-1", other.content_digest)
 
 
 def test_mount_opens_archive_once(rig, monkeypatch):
