@@ -17,6 +17,9 @@ write it out.
     5 resolver-storm  simultaneous group lookups from 2048 nodes; without
                       node caches the directory cap forces timeouts, with
                       warmed caches the backend barely hears about it
+    6 swapped-archive a valid archive of another image replaces a READY
+                      record's file; a job staged from that record must
+                      mount on no node and fail naming UdiCorrupt
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ from .gateway import Gateway, ImageState
 from .nodeagent import IdentityBackend, NodeAgent
 from .refs import parse_reference
 from .registry import LocalRegistry, fixture_layers
-from .udi import scan_udi, write_udi
+from .udi import write_udi
 
 SCENARIO_NAMES = {
     1: "silent-stall",
@@ -43,6 +46,7 @@ SCENARIO_NAMES = {
     3: "restart-storm",
     4: "auth-outage",
     5: "resolver-storm",
+    6: "swapped-archive",
 }
 
 
@@ -149,11 +153,13 @@ def run_forged_archive(seed: int, config: Config | None = None,
 
     ready_count = 0
     mount_success = 0
-    rejected = {"gateway": 0, "scan": 0, "mount": 0}
+    rejected = {"gateway": 0, "mount": 0}
 
     for trial in range(trials):
         path = f"{state_dir}/forged-{trial}.udi"
-        write_udi(tree, path, source_ref=f"forged-{trial}:v1", created_at=clock.now())
+        # the untouched archive's descriptor: its digest is what a READY
+        # record of it would hold
+        desc = write_udi(tree, path, source_ref=f"forged-{trial}:v1", created_at=clock.now())
         with open(path, "rb") as fh:
             data = bytearray(fh.read())
         kind = rng.randrange(3)
@@ -179,14 +185,9 @@ def run_forged_archive(seed: int, config: Config | None = None,
             rejected["gateway"] += 1
             gateway.fail_task(task, exc)
 
-        # gate two: a node asked to mount those bytes
+        # gate two: a node asked to mount those bytes under that digest
         try:
-            forged_desc, _ = scan_udi(path)
-        except UdigateError:
-            rejected["scan"] += 1
-            continue
-        try:
-            agent.mount_udi(forged_desc, cred, f"job-forge-{trial}")
+            agent.mount_udi(desc, cred, f"job-forge-{trial}")
             mount_success += 1
         except UdigateError:
             rejected["mount"] += 1
@@ -196,14 +197,13 @@ def run_forged_archive(seed: int, config: Config | None = None,
         "ready_count": ready_count,
         "mount_success": mount_success,
         "rejected_gateway": rejected["gateway"],
-        "rejected_scan": rejected["scan"],
         "rejected_mount": rejected["mount"],
     }
     passed = _check(details, {
         "no_forged_ready": ready_count == 0,
         "no_forged_mount": mount_success == 0,
         "every_trial_rejected_twice": rejected["gateway"] == trials
-        and rejected["scan"] + rejected["mount"] == trials,
+        and rejected["mount"] == trials,
     })
     gateway.close()
     shutil.rmtree(state_dir, ignore_errors=True)
@@ -394,6 +394,57 @@ def run_resolver_storm(seed: int, config: Config | None = None,
     return ScenarioReport(5, SCENARIO_NAMES[5], passed, details, cold.tracer)
 
 
+# -- scenario 6: a READY record's file replaced by another image's archive ---------
+
+def run_swapped_archive(seed: int, config: Config | None = None,
+                        nodes: int = 8) -> ScenarioReport:
+    cfg = config or Config()
+    tracer = Tracer()
+    registry = LocalRegistry()
+    for tag in ("v1", "v2"):
+        registry.add_image("genome-assembler", tag, fixture_layers(), total_size=36_000_000)
+    sim = ClusterSim(cfg, seed=seed, n_nodes=nodes, registry=registry, tracer=tracer)
+    target, other = (parse_reference(f"genome-assembler:{t}") for t in ("v1", "v2"))
+    for ref in (target, other):
+        sim.gateway.pull(ref, sim.make_credential())
+    sim.run()
+
+    spec = JobSpec(nodes=nodes, ranks_per_node=4, image_mode=MODE_DIRECTIVE,
+                   gres=(UDI_GRES,), udi=target.canonical(),
+                   commands=(JobCommand("./assemble"),))
+    control_id = sim.submit(spec)
+    sim.run()
+    control = sim.result(control_id)
+
+    # another image's valid archive lands at the record's path: it passes
+    # a structure walk and its own trailer, but not the record's digest
+    record = sim.gateway.lookup(target)
+    shutil.copyfile(sim.gateway.lookup(other).udi_path, record.udi_path)
+    mounts_before = sum(n.mounts_done for n in sim.nodes)
+    swapped_id = sim.submit(spec)
+    sim.run()
+    swapped = sim.result(swapped_id)
+    swapped_mounts = sum(n.mounts_done for n in sim.nodes) - mounts_before
+
+    details: dict = {
+        "nodes": nodes,
+        "control_outcome": control.outcome,
+        "swapped_outcome": swapped.outcome,
+        "swapped_reason": swapped.reason,
+        "swapped_mounts": swapped_mounts,
+        "mount_failures": len(swapped.per_node_events),
+    }
+    passed = _check(details, {
+        "control_succeeded": control.outcome == "success",
+        "swapped_job_failed": swapped.outcome == "failed",
+        "error_is_udi_corrupt": "UdiCorrupt" in swapped.reason,
+        "no_node_mounted": swapped_mounts == 0,
+        "every_node_refused": len(swapped.per_node_events) == nodes,
+    })
+    sim.cleanup()
+    return ScenarioReport(6, SCENARIO_NAMES[6], passed, details, tracer)
+
+
 def run_scenario(scenario: int, seed: int = 1, config: Config | None = None) -> ScenarioReport:
     runners = {
         1: run_silent_stall,
@@ -401,6 +452,7 @@ def run_scenario(scenario: int, seed: int = 1, config: Config | None = None) -> 
         3: run_restart_storm,
         4: run_auth_outage,
         5: run_resolver_storm,
+        6: run_swapped_archive,
     }
     runner = runners.get(scenario)
     if runner is None:

@@ -40,7 +40,8 @@ from .gateway import Gateway, ImageRecord, ImageState, PullTask
 from .nodeagent import IdentityBackend, NodeAgent
 from .refs import parse_reference
 from .registry import LocalRegistry
-from .udi import scan_udi
+# scan_udi stays importable here: wallbench/spans.py wraps cluster.scan_udi by name
+from .udi import UdiDescriptor, scan_udi  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -406,12 +407,16 @@ class _JobRun:
 
     def _stage(self, rec: ImageRecord, what: str) -> list[tuple[NodeAgent, float]]:
         """Mount rec's archive on every allocated node that lacks it and
-        return [(node, setup_seconds)]. All nodes are attempted even after a
-        failure, a parallel fan-out has no shortcut; _JobFailed comes after."""
-        try:
-            desc, _ = scan_udi(rec.udi_path)
-        except UdigateError as exc:
-            raise _JobFailed(f"archive unreadable: {type(exc).__name__}") from None
+        return [(node, setup_seconds)]. The descriptor comes from the record
+        alone: each node checks the file's bytes against rec.udi_digest. All
+        nodes are attempted even after a failure, a parallel fan-out has no
+        shortcut; _JobFailed comes after."""
+        if not rec.udi_digest:
+            raise _JobFailed(f"READY record of {rec.ref.canonical()} has no archive digest "
+                             f"(written before digests were recorded); expire and re-pull it")
+        desc = UdiDescriptor(path=rec.udi_path, content_digest=rec.udi_digest,
+                             size_bytes=rec.size_bytes, created_at=rec.updated_at,
+                             source_ref=rec.ref.canonical())
         staged: list[tuple[NodeAgent, float]] = []
         failures: list[str] = []
         for node in self.nodes:

@@ -12,8 +12,9 @@ The hard-won rules encoded here:
     renewing; the sweeper fails anything whose lease lapsed, so a worker
     that dies silently can stall a record for at most one sweep interval
   * READY is reachable only through complete(), which re-verifies the
-    written archive first; a record can never claim an artifact that does
-    not check out
+    written archive first and records its trailer digest; a record can
+    never claim an artifact that does not check out, and every mount
+    checks the file's bytes against that digest
   * concurrent pulls of one reference share a single task (single-flight),
     so a popular image is downloaded once, not once per caller
   * after a restart, anything still transient in the store is failed before
@@ -73,16 +74,20 @@ ALLOWED_TRANSITIONS = frozenset({
     (ImageState.READY, ImageState.EXPIRED),
 })
 
-_API_FIELDS = ("state", "content_digest", "udi_path", "size_bytes", "created_at",
-               "updated_at", "lease_expires_at", "attempts", "last_error")
+_API_FIELDS = ("state", "content_digest", "udi_path", "udi_digest", "size_bytes",
+               "created_at", "updated_at", "lease_expires_at", "attempts", "last_error")
+_STATES = {state.value: state for state in ImageState}
+_STORE_TYPES = (str,) * 10 + (int,) * 2  # a bool is not an int here
+_NUMBERS = {int, float}
 
 
 @dataclass
 class ImageRecord:
     ref: ImageReference
     state: ImageState
-    content_digest: str = ""
+    content_digest: str = ""  # tree digest of the flattened layers, before site mods
     udi_path: str = ""
+    udi_digest: str = ""  # trailer hex of the verified archive, set on READY
     size_bytes: int = 0
     created_at: float = 0.0
     updated_at: float = 0.0
@@ -110,18 +115,27 @@ class ImageRecord:
             "created_at": self.created_at, "updated_at": self.updated_at,
             "lease_expires_at": self.lease_expires_at, "attempts": self.attempts,
             "last_error": self.last_error, "lease_id": self.lease_id,
+            "udi_digest": self.udi_digest,
         }
 
     @classmethod
     def from_store_dict(cls, doc: dict) -> "ImageRecord":
-        ref = ImageReference(system=doc["system"], repository=doc["repository"],
-                             name=doc["name"], tag=doc["tag"])
-        return cls(ref=ref, state=ImageState(doc["state"]),
-                   content_digest=doc["content_digest"], udi_path=doc["udi_path"],
-                   size_bytes=doc["size_bytes"], created_at=doc["created_at"],
-                   updated_at=doc["updated_at"], lease_expires_at=doc["lease_expires_at"],
-                   attempts=doc["attempts"], last_error=doc["last_error"],
-                   lease_id=doc.get("lease_id", ""))
+        """Raises KeyError for a missing field or an unknown state and
+        ValueError for a field of the wrong type; lease_id and udi_digest
+        may be missing. Replay calls this once per put, thousands of times
+        per restart, so the checks are one pass of type() lookups."""
+        values = (doc["system"], doc["repository"], doc["name"], doc["tag"], doc["state"],
+                  doc["content_digest"], doc["udi_path"], doc.get("udi_digest", ""),
+                  doc["last_error"], doc.get("lease_id", ""), doc["size_bytes"], doc["attempts"])
+        times = (doc["created_at"], doc["updated_at"], doc["lease_expires_at"])
+        if tuple(map(type, values)) != _STORE_TYPES or not _NUMBERS.issuperset(map(type, times)):
+            raise ValueError("record field of the wrong type")
+        (system, repository, name, tag, state, content_digest, udi_path, udi_digest,
+         last_error, lease_id, size_bytes, attempts) = values
+        # positional, in field order: keywords cost a quarter more per record
+        return cls(ImageReference(system, repository, name, tag), _STATES[state],
+                   content_digest, udi_path, udi_digest, size_bytes, *times,
+                   attempts, last_error, lease_id)
 
 
 @dataclass(frozen=True)
@@ -166,7 +180,10 @@ class Gateway:
                 if entry["op"] == "delete":
                     self._records.pop(entry["key"], None)
                 elif entry["op"] == "put":
-                    self._records[entry["key"]] = ImageRecord.from_store_dict(entry["record"])
+                    rec = ImageRecord.from_store_dict(entry["record"])
+                    if entry["key"] != rec.ref.key():
+                        raise ValueError(f"put under {entry['key']!r} of {rec.ref.key()!r}")
+                    self._records[entry["key"]] = rec
                 else:
                     raise ValueError(f"unknown op {entry['op']!r}")
             except (KeyError, TypeError, ValueError) as exc:
@@ -381,7 +398,8 @@ class Gateway:
             self._transition(rec, ImageState.CONVERTING, content_digest=content_digest)
 
     def complete(self, task: PullTask, udi_path: str) -> ImageRecord:
-        """Verify the written archive, then and only then go READY."""
+        """Verify the written archive, then and only then go READY with its
+        trailer digest recorded as udi_digest."""
         check = verify_udi(udi_path)
         if not check.ok:
             raise VerifyError(f"fresh archive rejected ({check.reason}): {check.detail}")
@@ -389,7 +407,8 @@ class Gateway:
         with self._lock:
             rec = self._rec_for_task(task)
             self._transition(rec, ImageState.READY, verified=True,
-                             udi_path=udi_path, size_bytes=size, last_error="")
+                             udi_path=udi_path, udi_digest=check.digest,
+                             size_bytes=size, last_error="")
             return rec.snapshot()
 
     def fail_task(self, task: PullTask, error: Exception) -> bool:

@@ -7,10 +7,12 @@ its own positive-and-negative result cache so a storm of simultaneous job
 starts does not turn into a storm of directory lookups.
 
 Mounting is gated hard: node auth must be up, the credential must verify,
-and the archive must pass a full verify_udi, whose trailer digest must
-match the descriptor. That one forward pass over the file hashes the whole
-body on every mount; there is deliberately no fast path that trusts bytes
-on disk, and no verify cache keyed on file stat.
+and the archive must pass check_udi against the descriptor's digest, which
+the caller takes from the READY record. The gateway verified the archive's
+structure once before it recorded that digest; a mount checks identity,
+one forward pass that hashes the whole body on every mount. There is
+deliberately no fast path that trusts bytes on disk, and no check cache
+keyed on file stat or on an earlier mount.
 """
 from __future__ import annotations
 
@@ -19,10 +21,10 @@ from typing import Optional
 
 from .authsvc import Credential, CredentialVerifier
 from .config import Config
-from .errors import (AlreadyMounted, AuthServiceDown, IdentityTimeout, NotFound,
-                     UdiCorrupt)
-# scan_udi stays importable here: wallbench/spans.py wraps nodeagent.scan_udi by name
-from .udi import UdiDescriptor, scan_udi, verify_udi  # noqa: F401
+from .errors import AlreadyMounted, AuthServiceDown, IdentityTimeout, NotFound
+# scan_udi and verify_udi stay importable here: wallbench/spans.py wraps
+# nodeagent.scan_udi and nodeagent.verify_udi by name
+from .udi import UdiDescriptor, check_udi, scan_udi, verify_udi  # noqa: F401
 
 
 class GroupCache:
@@ -171,11 +173,7 @@ class NodeAgent:
         if self.has_mount(job_id, desc.content_digest):
             raise AlreadyMounted(f"{self.name}: {desc.content_digest[:12]} already mounted for {job_id}")
 
-        check = verify_udi(desc.path)
-        if not check.ok:
-            raise UdiCorrupt(check.reason)
-        if check.digest != desc.content_digest:
-            raise UdiCorrupt("descriptor mismatch")
+        check_udi(desc.path, desc.content_digest)
 
         gids, wait = self.resolve_groups(principal.uid)
 

@@ -64,7 +64,8 @@ class SequenceRunner:
             self.illegal += 1
         if new is ImageState.READY:
             self.ready_seen += 1
-            if not verified or not verify_udi(snapshot.udi_path).ok:
+            check = verify_udi(snapshot.udi_path)
+            if not verified or not check.ok or check.digest != snapshot.udi_digest:
                 self.unverified_ready += 1
 
     # -- ops -------------------------------------------------------------------

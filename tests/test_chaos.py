@@ -12,6 +12,7 @@ from udigate.chaos import (
     run_restart_storm,
     run_scenario,
     run_silent_stall,
+    run_swapped_archive,
     storm_timeout_oracle,
 )
 from udigate.config import Config
@@ -34,7 +35,8 @@ def test_scenario_2_forged_archive():
     assert rep.details["ready_count"] == 0
     assert rep.details["mount_success"] == 0
     assert rep.details["rejected_gateway"] == 120
-    assert rep.details["rejected_scan"] + rep.details["rejected_mount"] == 120
+    assert rep.details["rejected_mount"] == 120
+    assert "rejected_scan" not in rep.details
 
 
 def test_scenario_3_restart_storm():
@@ -74,6 +76,16 @@ def test_scenario_5_resolver_storm():
     assert rep.details["cold_backend_requests"] == 2048
 
 
+def test_scenario_6_swapped_archive():
+    rep = run_swapped_archive(seed=1)
+    assert rep.passed, rep.to_text()
+    assert rep.details["control_outcome"] == "success"
+    assert rep.details["swapped_outcome"] == "failed"
+    assert rep.details["swapped_mounts"] == 0
+    assert rep.details["mount_failures"] == 8
+    assert "UdiCorrupt: descriptor mismatch" in rep.details["swapped_reason"]
+
+
 def test_storm_oracle_closed_form():
     assert storm_timeout_oracle(2048, 500, 2.0, 5.0) == 2048 - 3 * 500
     assert storm_timeout_oracle(100, 500, 2.0, 5.0) == 0
@@ -98,7 +110,7 @@ def test_run_scenario_dispatch():
 
 def test_run_all_covers_every_scenario():
     reports = run_all(seed=1)
-    assert [r.scenario for r in reports] == [1, 2, 3, 4, 5]
+    assert [r.scenario for r in reports] == [1, 2, 3, 4, 5, 6]
     assert all(r.passed for r in reports), "\n".join(r.to_text() for r in reports)
 
 

@@ -94,6 +94,13 @@ def test_chaos_pass_exits_zero(capsys):
     assert "PASS" in out
 
 
+def test_chaos_runs_swapped_archive(capsys):
+    rc = main(["chaos", "run", "--scenario", "6"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert out.splitlines()[0] == "scenario 6 (swapped-archive): PASS"
+
+
 def test_chaos_trace_written(tmp_path, capsys):
     trace = tmp_path / "run.trace"
     rc = main(["chaos", "run", "--scenario", "1", "--seed", "7",

@@ -1,5 +1,7 @@
 """Cluster simulator: job lifecycles, image modes, failures, determinism."""
 
+import os
+
 import pytest
 
 from helpers import payload_tree, tiny_tree
@@ -8,7 +10,10 @@ from udigate.cluster import (
     MODE_PER_COMMAND,
     ClusterSim,
     JobCommand,
+    JobResult,
     JobSpec,
+    _JobFailed,
+    _JobRun,
     parse_job_file,
     validate_spec,
 )
@@ -17,6 +22,7 @@ from udigate.errors import InvalidSpec, MissingGres
 from udigate.gateway import ImageState
 from udigate.refs import parse_reference
 from udigate.registry import LocalRegistry
+from udigate.store import RecordLog
 
 
 def seeded_registry():
@@ -179,6 +185,53 @@ def test_node_auth_outage_fails_prologue(tmp_path):
     assert events.count("epilogue_start") == events.count("epilogue_done") == 1
     assert "prologue_done" not in events
     assert "cmd_start" not in events
+
+
+def test_stale_record_never_mounts_repulled_bytes(tmp_path):
+    # a job holding a READY record across expire and re-pull of the same
+    # reference fails closed: first no file, then a file of other bytes
+    sim = make_sim(tmp_path=tmp_path)
+    ref = parse_reference("apps/sim:v1")
+    sim.gateway.pull(ref, sim.make_credential())
+    sim.run()
+    old = sim.gateway.lookup(ref)
+    sim.gateway.expire(ref, sim.make_credential(scope="admin"))
+    run = _JobRun(sim, directive_spec(), "job-held", JobResult("job-held"))
+    with pytest.raises(_JobFailed, match="UdiCorrupt: io"):
+        run._stage(old, "stage")
+
+    sim.gateway.pull(ref, sim.make_credential())
+    sim.run()
+    new = sim.gateway.lookup(ref)
+    assert new.state is ImageState.READY
+    assert new.udi_path == old.udi_path
+    assert new.udi_digest != old.udi_digest
+    with pytest.raises(_JobFailed, match="UdiCorrupt: descriptor mismatch"):
+        run._stage(old, "stage")
+    assert sum(n.mounts_done for n in sim.nodes) == 0
+    assert len(run._stage(new, "stage")) == 3
+    sim.cleanup()
+
+
+def test_ready_record_without_archive_digest_fails_job(tmp_path):
+    # a READY put written before records carried udi_digest
+    sim = make_sim(tmp_path=tmp_path)
+    ref = parse_reference("apps/sim:v1")
+    sim.gateway.pull(ref, sim.make_credential())
+    sim.run()
+    record = sim.gateway.lookup(ref).to_store_dict()
+    del record["udi_digest"]
+    sim.crash_gateway()
+    log = RecordLog(os.path.join(sim.state_dir, "records.log"))
+    log.append({"op": "put", "key": ref.key(), "record": record})
+    log.close()
+    sim.restart_gateway()
+    res = sim.result(sim.submit(directive_spec()))
+    sim.run()
+    assert res.outcome == "failed"
+    assert "has no archive digest" in res.reason
+    assert sum(n.mounts_done for n in sim.nodes) == 0
+    sim.cleanup()
 
 
 # -- per-command jobs -------------------------------------------------------------

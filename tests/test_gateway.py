@@ -21,7 +21,8 @@ from udigate.filetree import FileTree, blob_digest, flatten
 from udigate.gateway import Gateway, ImageState
 from udigate.refs import parse_reference
 from udigate.registry import LocalRegistry
-from udigate.udi import scan_udi, verify_udi
+from udigate.store import RecordLog
+from udigate.udi import UdiCheck, scan_udi, verify_udi
 
 REF = parse_reference("app/alpha:v1")
 
@@ -70,7 +71,7 @@ def test_happy_path_reaches_ready(rig):
     assert rec.lease_expires_at == 0.0
     assert os.path.isfile(rec.udi_path)
     assert rec.size_bytes == os.path.getsize(rec.udi_path)
-    assert verify_udi(rec.udi_path).ok
+    assert verify_udi(rec.udi_path) == UdiCheck(True, digest=rec.udi_digest)
 
 
 def test_record_digest_is_flattened_content(rig):
@@ -300,6 +301,61 @@ def test_unusable_log_entries_are_skipped(rig, fast_cfg, caplog):
         reborn.close()
 
 
+def _replay_with(gw, fast_cfg, registry, *entries):
+    """Append entries to gw's closed log and replay it in a new gateway."""
+    log = RecordLog(os.path.join(gw.state_dir, "records.log"))
+    for entry in entries:
+        log.append(entry)
+    log.close()
+    return Gateway(fast_cfg, gw.clock, registry, gw.state_dir)
+
+
+def test_put_under_a_foreign_key_is_skipped(rig, fast_cfg, caplog):
+    gw, clock, registry = rig
+    gw.pull(REF)
+    drive(gw, clock)
+    gw.close()
+    record = gw.lookup(REF).to_store_dict()
+    other = parse_reference("app/beta:v1")
+    with caplog.at_level(logging.WARNING, logger="udigate.gateway"):
+        reborn = _replay_with(gw, fast_cfg, registry,
+                              {"op": "put", "key": other.key(), "record": record},
+                              {"op": "put", "key": "k", "record": record})
+    try:
+        assert [r.ref for r in reborn.list_records(REF.system)] == [REF]
+        assert reborn.lookup(REF) == gw.lookup(REF)  # every field replayed
+        with pytest.raises(NotFound):
+            reborn.lookup(other)
+        assert "skipped 2 unreadable entries" in caplog.text
+    finally:
+        reborn.close()
+
+
+@pytest.mark.parametrize("field,value", [
+    ("attempts", "1"), ("attempts", True), ("attempts", 1.0), ("size_bytes", None),
+    ("created_at", "0"), ("updated_at", False), ("lease_expires_at", [0.0]),
+    ("name", 5), ("tag", None), ("content_digest", {"x": 1}), ("udi_path", 0),
+    ("last_error", None), ("lease_id", 7), ("udi_digest", 1), ("state", 3),
+])
+def test_mistyped_record_field_is_skipped(rig, fast_cfg, caplog, field, value):
+    gw, clock, registry = rig
+    gw.pull(REF)
+    drive(gw, clock)
+    gw.close()
+    other = parse_reference("app/beta:v1")
+    record = {**gw.lookup(REF).to_store_dict(), "name": other.name, "state": "FAILED",
+              field: value}
+    with caplog.at_level(logging.WARNING, logger="udigate.gateway"):
+        reborn = _replay_with(gw, fast_cfg, registry,
+                              {"op": "put", "key": other.key(), "record": record})
+    try:
+        assert [r.ref for r in reborn.list_records(REF.system)] == [REF]
+        assert "skipped 1 unreadable entries" in caplog.text
+        assert reborn.pull(other).state is ImageState.ENQUEUED
+    finally:
+        reborn.close()
+
+
 def test_expire_ready_unlinks_archive(rig):
     gw, clock, _ = rig
     gw.pull(REF)
@@ -393,8 +449,8 @@ def test_to_api_dict_shape(rig):
     drive(gw, clock)
     doc = gw.lookup(REF).to_api_dict()
     assert sorted(doc) == sorted(
-        ("ref", "state", "content_digest", "udi_path", "size_bytes", "created_at",
-         "updated_at", "lease_expires_at", "attempts", "last_error"))
+        ("ref", "state", "content_digest", "udi_path", "udi_digest", "size_bytes",
+         "created_at", "updated_at", "lease_expires_at", "attempts", "last_error"))
     assert doc["ref"] == "app/alpha:v1"
     assert doc["state"] == "READY"
     assert "lease_id" not in doc

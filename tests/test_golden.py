@@ -16,7 +16,7 @@ from udigate.cli import main
 # two jobs on 8 nodes, seed 11, a Directive job and a PerCommand job: 3,867 bytes
 CLUSTER_TRACE_SHA256 = "96b5208a001ba36b6d56935b0848151167ae63c603a1c9800ba09ca12c3547f0"
 # every chaos scenario, seed 1, traces concatenated in scenario order
-CHAOS_TRACE_SHA256 = "ca1f64754570c45d9f3bb1f742566485861f0a2efdd924b5469827caff6154c7"
+CHAOS_TRACE_SHA256 = "276195748d0642a56570aa11cdcdf39c10b283c65c95a3eb2ed567842756385d"
 # bench startup --nodes 1,8,64 --ranks 1,4 --image a:b=1e8 --image c:d=3e9
 # --seed 1, the CSV file per mode
 BENCH_CSV_SHA256 = {

@@ -16,7 +16,7 @@ from udigate.errors import (
     UdiCorrupt,
 )
 from udigate.nodeagent import GroupCache, IdentityBackend, NodeAgent
-from udigate.udi import UdiDescriptor, verify_udi, write_udi
+from udigate.udi import UdiDescriptor, check_udi, write_udi
 
 SECRET = b"node-secret"
 DIRECTORY = {1001: (100, 200), 1002: (100,)}
@@ -277,14 +277,49 @@ def test_mount_opens_archive_once(rig, monkeypatch):
     agent, _, _, desc, cred = rig
     calls = []
 
-    def counting_verify(path):
-        calls.append(path)
-        return verify_udi(path)
+    def counting_check(path, expected):
+        calls.append((path, expected))
+        return check_udi(path, expected)
 
-    def no_scan(path):
-        raise AssertionError("mount must not scan the archive")
+    def no_walk(path):
+        raise AssertionError("mount must not walk the archive's structure")
 
-    monkeypatch.setattr(udigate.nodeagent, "verify_udi", counting_verify)
-    monkeypatch.setattr(udigate.nodeagent, "scan_udi", no_scan)
+    monkeypatch.setattr(udigate.nodeagent, "check_udi", counting_check)
+    monkeypatch.setattr(udigate.nodeagent, "verify_udi", no_walk)
+    monkeypatch.setattr(udigate.nodeagent, "scan_udi", no_walk)
     agent.mount_udi(desc, cred, "job-1")
-    assert calls == [desc.path]
+    agent.mount_udi(desc, cred, "job-2")
+    assert calls == [(desc.path, desc.content_digest)] * 2
+
+
+@pytest.mark.parametrize("where", ["body", "trailer"])
+def test_no_mount_trusts_an_earlier_mount(rig, where):
+    # node 0 accepts the archive; a byte then changes on disk, and node 1
+    # (and node 0 again, for another job) must hash the file afresh
+    agent, clock, identity, desc, cred = rig
+    other = NodeAgent(8, clock, agent.verifier, identity, agent.config)
+    agent.mount_udi(desc, cred, "job-1")
+    data = bytearray(open(desc.path, "rb").read())
+    pos = len(data) // 2 if where == "body" else len(data) - 5
+    data[pos] ^= 0x01
+    with open(desc.path, "wb") as fh:
+        fh.write(bytes(data))
+    for node, job in ((other, "job-1"), (agent, "job-2")):
+        with pytest.raises(UdiCorrupt) as exc_info:
+            node.mount_udi(desc, cred, job)
+        assert exc_info.value.reason == "checksum"
+    assert other.mount_count() == 0
+    assert agent.mount_count() == 1
+
+
+@pytest.mark.parametrize("change", ["cut-short", "appended"])
+def test_mount_refuses_resized_archive(rig, change):
+    agent, _, _, desc, cred = rig
+    data = open(desc.path, "rb").read()
+    changed = data[:-7] if change == "cut-short" else data + b"\x00" * 7
+    with open(desc.path, "wb") as fh:
+        fh.write(changed)
+    with pytest.raises(UdiCorrupt):
+        agent.mount_udi(desc, cred, "job-1")
+    assert agent.mount_count() == 0
+

@@ -2,12 +2,14 @@
 
 import dataclasses
 import hashlib
+import io
 import os
 import random
 import struct
 
 import pytest
 
+import udigate.udi
 from helpers import payload_tree, random_stack, tiny_tree
 from udigate.errors import StorageIoError, UdiCorrupt
 from udigate.filetree import FileTree, flatten
@@ -17,6 +19,7 @@ from udigate.udi import (
     MIN_SIZE,
     TRAILER_LEN,
     UdiCheck,
+    check_udi,
     open_udi,
     read_udi,
     scan_udi,
@@ -271,3 +274,78 @@ def test_short_files_are_truncated_not_raised(tmp_path):
         check = verify_udi(str(path))
         assert (check.ok, check.reason) == (False, "truncated")
     assert verify_udi(b"").reason == "truncated"
+
+
+# -- the mount-time check ---------------------------------------------------------
+
+
+def test_check_udi_accepts_only_the_expected_digest(tmp_path):
+    desc = _write(payload_tree(), tmp_path / "a.udi")
+    assert check_udi(desc.path, desc.content_digest) == UdiCheck(True, digest=desc.content_digest)
+    with pytest.raises(UdiCorrupt) as exc_info:
+        check_udi(desc.path, "0" * 64)
+    assert exc_info.value.reason == "descriptor mismatch"
+    # a valid archive of another image in its place hashes to its own trailer
+    other = _write(payload_tree(b"other"), tmp_path / "b.udi")
+    os.replace(other.path, desc.path)
+    with pytest.raises(UdiCorrupt) as exc_info:
+        check_udi(desc.path, desc.content_digest)
+    assert exc_info.value.reason == "descriptor mismatch"
+
+
+def test_check_udi_io_and_short_files(tmp_path):
+    with pytest.raises(UdiCorrupt) as exc_info:
+        check_udi(str(tmp_path / "missing.udi"), "0" * 64)
+    assert exc_info.value.reason == "io"
+    short = tmp_path / "short.udi"
+    short.write_bytes(MAGIC + bytes(MIN_SIZE - len(MAGIC) - 1))
+    with pytest.raises(UdiCorrupt) as exc_info:
+        check_udi(str(short), "0" * 64)
+    assert exc_info.value.reason == "truncated"
+
+
+def _reads(monkeypatch):
+    """Sizes of every read check_udi makes from here on."""
+    sizes = []
+
+    class Counting(io.FileIO):
+        def read(self, n=-1):
+            data = super().read(n)
+            sizes.append(len(data))
+            return data
+
+    monkeypatch.setattr(udigate.udi, "open", lambda path, mode: Counting(path), raising=False)
+    return sizes
+
+
+def test_check_udi_hashes_every_byte_in_bounded_reads(tmp_path, monkeypatch):
+    desc = _write(payload_tree(), tmp_path / "a.udi")
+    data = open(desc.path, "rb").read()
+    n = len(data)
+    sizes = _reads(monkeypatch)
+    for window in (1, 31, 32, 33, 64, n - 33, n - 32, n - 31, n, n + 1):
+        monkeypatch.setattr(udigate.udi, "_WINDOW", window)
+        sizes.clear()
+        assert check_udi(desc.path, desc.content_digest).ok
+        assert sum(sizes) == n and max(sizes) <= max(window, TRAILER_LEN)
+        for pos in range(n):
+            flipped = bytearray(data)
+            flipped[pos] ^= 0x10
+            with open(desc.path, "wb") as fh:
+                fh.write(flipped)
+            with pytest.raises(UdiCorrupt) as exc_info:
+                check_udi(desc.path, desc.content_digest)
+            assert exc_info.value.reason == "checksum", (window, pos)
+        with open(desc.path, "wb") as fh:
+            fh.write(data)
+
+
+def test_check_udi_refuses_resized_large_archive(tmp_path):
+    desc, _ = _straddling_archive(tmp_path)
+    data = open(desc.path, "rb").read()
+    assert check_udi(desc.path, desc.content_digest).ok
+    for changed in (data[:_WINDOW + 1], data[:-1], data + b"\x00", data + data[-TRAILER_LEN:]):
+        with open(desc.path, "wb") as fh:
+            fh.write(changed)
+        with pytest.raises(UdiCorrupt):
+            check_udi(desc.path, desc.content_digest)
