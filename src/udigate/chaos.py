@@ -396,20 +396,22 @@ def run_resolver_storm(seed: int, config: Config | None = None,
 
 # -- scenario 6: a READY record's file replaced by another image's archive ---------
 
-def run_swapped_archive(seed: int, config: Config | None = None,
-                        nodes: int = 8) -> ScenarioReport:
+SWAPPED_NODES = 8  # nodes of each scenario 6 job
+
+
+def run_swapped_archive(seed: int, config: Config | None = None) -> ScenarioReport:
     cfg = config or Config()
     tracer = Tracer()
     registry = LocalRegistry()
     for tag in ("v1", "v2"):
         registry.add_image("genome-assembler", tag, fixture_layers(), total_size=36_000_000)
-    sim = ClusterSim(cfg, seed=seed, n_nodes=nodes, registry=registry, tracer=tracer)
+    sim = ClusterSim(cfg, seed=seed, n_nodes=SWAPPED_NODES, registry=registry, tracer=tracer)
     target, other = (parse_reference(f"genome-assembler:{t}") for t in ("v1", "v2"))
     for ref in (target, other):
         sim.gateway.pull(ref, sim.make_credential())
     sim.run()
 
-    spec = JobSpec(nodes=nodes, ranks_per_node=4, image_mode=MODE_DIRECTIVE,
+    spec = JobSpec(nodes=SWAPPED_NODES, ranks_per_node=4, image_mode=MODE_DIRECTIVE,
                    gres=(UDI_GRES,), udi=target.canonical(),
                    commands=(JobCommand("./assemble"),))
     control_id = sim.submit(spec)
@@ -427,7 +429,7 @@ def run_swapped_archive(seed: int, config: Config | None = None,
     swapped_mounts = sum(n.mounts_done for n in sim.nodes) - mounts_before
 
     details: dict = {
-        "nodes": nodes,
+        "nodes": SWAPPED_NODES,
         "control_outcome": control.outcome,
         "swapped_outcome": swapped.outcome,
         "swapped_reason": swapped.reason,
@@ -439,7 +441,7 @@ def run_swapped_archive(seed: int, config: Config | None = None,
         "swapped_job_failed": swapped.outcome == "failed",
         "error_is_udi_corrupt": "UdiCorrupt" in swapped.reason,
         "no_node_mounted": swapped_mounts == 0,
-        "every_node_refused": len(swapped.per_node_events) == nodes,
+        "every_node_refused": len(swapped.per_node_events) == SWAPPED_NODES,
     })
     sim.cleanup()
     return ScenarioReport(6, SCENARIO_NAMES[6], passed, details, tracer)

@@ -414,9 +414,10 @@ class _JobRun:
         if not rec.udi_digest:
             raise _JobFailed(f"READY record of {rec.ref.canonical()} has no archive digest "
                              f"(written before digests were recorded); expire and re-pull it")
+        # only path and content_digest mean anything here: a mount reads no
+        # other field, and the archive header is never parsed to fill them
         desc = UdiDescriptor(path=rec.udi_path, content_digest=rec.udi_digest,
-                             size_bytes=rec.size_bytes, created_at=rec.updated_at,
-                             source_ref=rec.ref.canonical())
+                             size_bytes=0, created_at=0.0, source_ref="")
         staged: list[tuple[NodeAgent, float]] = []
         failures: list[str] = []
         for node in self.nodes:

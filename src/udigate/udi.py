@@ -32,9 +32,10 @@ the trailer digest. The gateway gates READY on it and records that digest;
 read_udi verifies in the same pass that loads the tree. scan_udi makes the
 same walk without hashing and is for display only.
 
-check_udi is the mount-time check: it parses nothing, hashes every body
-byte in windows of at most 1 MiB, and requires the hash to match both the
-stored trailer and the digest the gateway recorded. The structure was
+check_udi is the mount-time check: through the same forward reader, it
+parses nothing, hashes every body byte in windows of at most 1 MiB, and
+requires the hash to match both the stored trailer and the digest the
+gateway recorded. The structure was
 verified once, before that digest could enter a READY record; by SHA-256's
 second-preimage resistance, bytes that hash to it are those same bytes.
 """
@@ -399,32 +400,23 @@ def verify_udi(source: str | bytes) -> UdiCheck:
 
 
 def check_udi(path: str, expected: str) -> UdiCheck:
-    """Hash every body byte of the archive at path, front to back in reads
-    of at most _WINDOW bytes, and require the hash to equal both the stored
-    trailer and expected (trailer hex). Returns the passing UdiCheck; raises
-    UdiCorrupt with reason truncated, io, checksum or descriptor mismatch."""
+    """Hash every body byte of the archive at path with _Reader, front to
+    back in reads of at most _WINDOW bytes, and require the hash to equal
+    both the stored trailer and expected (trailer hex). Parses nothing: the
+    structure was verified before expected was recorded. Returns the
+    passing UdiCheck; raises UdiCorrupt with reason truncated, io, checksum
+    or descriptor mismatch."""
     try:
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             if size < MIN_SIZE:
                 raise UdiCorrupt("truncated", "shorter than fixed header")
-            sha = hashlib.sha256()
-            left = size - TRAILER_LEN  # body bytes not yet hashed
-            while left and left + TRAILER_LEN > _WINDOW:  # the last read takes the trailer
-                n = min(_WINDOW, left)
-                data = fh.read(n)
-                if len(data) != n:
-                    raise UdiCorrupt("truncated", "short read")
-                sha.update(data)
-                left -= n
-            tail = fh.read(left + TRAILER_LEN)
+            r = _Reader(fh, None, size, True)
+            r.skip(0, r.body_end, "body")
+            stored, computed = r.finish()
     except OSError as exc:
         raise UdiCorrupt("io", str(exc)) from exc
-    if len(tail) != left + TRAILER_LEN:
-        raise UdiCorrupt("truncated", "short read")
-    sha.update(memoryview(tail)[:left])
-    stored = tail[left:]
-    if sha.digest() != stored:
+    if computed != stored:
         raise UdiCorrupt("checksum", "trailer does not match body hash")
     if stored.hex() != expected:
         raise UdiCorrupt("descriptor mismatch")
