@@ -187,7 +187,7 @@ def run_forged_archive(seed: int, config: Config | None = None,
 
         # gate two: a node asked to mount those bytes under that digest
         try:
-            agent.mount_udi(desc, cred, f"job-forge-{trial}")
+            agent.mount_udi(path, desc.content_digest, cred, f"job-forge-{trial}")
             mount_success += 1
         except UdigateError:
             rejected["mount"] += 1
@@ -341,7 +341,7 @@ def run_resolver_storm(seed: int, config: Config | None = None,
                        nodes: int = 2048) -> ScenarioReport:
     base = config or Config()
     service_time = 2.0
-    cfg = base.replace(identity_latency_mean=service_time, identity_latency_jitter=0.0)
+    cfg = base.replace(identity_latency_mean=service_time)
 
     def build(cache_enabled: bool) -> ClusterSim:
         registry = LocalRegistry()

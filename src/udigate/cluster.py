@@ -41,7 +41,7 @@ from .nodeagent import IdentityBackend, NodeAgent
 from .refs import parse_reference
 from .registry import LocalRegistry
 # scan_udi stays importable here: wallbench/spans.py wraps cluster.scan_udi by name
-from .udi import UdiDescriptor, scan_udi  # noqa: F401
+from .udi import scan_udi  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -197,9 +197,7 @@ class ClusterSim:
 
         self.identity = IdentityBackend(
             {DEFAULT_UID: DEFAULT_GIDS}, cap=config.identity_cap, timeout=config.identity_timeout,
-            latency_mean=config.identity_latency_mean,
-            latency_jitter=config.identity_latency_jitter,
-            rng=derive_rng(seed, "identity"), tracer=self.tracer)
+            latency_mean=config.identity_latency_mean, tracer=self.tracer)
         self.nodes = [NodeAgent(i, self.clock, self.verifier, self.identity,
                                 config, tracer=self.tracer)
                       for i in range(n_nodes)]
@@ -407,25 +405,22 @@ class _JobRun:
 
     def _stage(self, rec: ImageRecord, what: str) -> list[tuple[NodeAgent, float]]:
         """Mount rec's archive on every allocated node that lacks it and
-        return [(node, setup_seconds)]. The descriptor comes from the record
-        alone: each node checks the file's bytes against rec.udi_digest. All
-        nodes are attempted even after a failure, a parallel fan-out has no
-        shortcut; _JobFailed comes after."""
+        return [(node, setup_seconds)]. The mount comes from the record
+        alone: each node checks the bytes at rec.udi_path against
+        rec.udi_digest. All nodes are attempted even after a failure, a
+        parallel fan-out has no shortcut; _JobFailed comes after."""
         if not rec.udi_digest:
             raise _JobFailed(f"READY record of {rec.ref.canonical()} has no archive digest "
                              f"(written before digests were recorded); expire and re-pull it")
-        # only path and content_digest mean anything here: a mount reads no
-        # other field, and the archive header is never parsed to fill them
-        desc = UdiDescriptor(path=rec.udi_path, content_digest=rec.udi_digest,
-                             size_bytes=0, created_at=0.0, source_ref="")
         staged: list[tuple[NodeAgent, float]] = []
         failures: list[str] = []
         for node in self.nodes:
-            if node.has_mount(self.job_id, desc.content_digest):
+            if node.has_mount(self.job_id, rec.udi_digest):
                 staged.append((node, 0.0))
                 continue
             try:
-                identity_wait = node.mount_udi(desc, self.cred, self.job_id)
+                identity_wait = node.mount_udi(rec.udi_path, rec.udi_digest, self.cred,
+                                               self.job_id)
             except UdigateError as exc:
                 failures.append(f"{node.name}: {type(exc).__name__}: {exc}")
                 self.sim.tracer.emit(self._now(), node.name, "mount_fail",

@@ -45,7 +45,6 @@ class Config:
     identity_cap: int = 500
     identity_timeout: float = 5.0
     identity_latency_mean: float = 0.050
-    identity_latency_jitter: float = 0.0
 
     # job execution
     poll_interval: float = 1.0
@@ -72,8 +71,7 @@ _POSITIVE = ("lease_duration", "heartbeat_interval", "sweep_interval",
 # latencies, jitters and costs, where 0 means "free"
 _NON_NEGATIVE = ("manifest_latency", "cache_ttl", "mount_base_latency",
                  "mount_jitter_mean", "unmount_cost", "rank_attach_cost",
-                 "identity_timeout", "identity_latency_mean",
-                 "identity_latency_jitter", "command_duration")
+                 "identity_timeout", "identity_latency_mean", "command_duration")
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(Config)}

@@ -15,6 +15,10 @@ The hard-won rules encoded here:
     written archive first and records its trailer digest; a record can
     never claim an artifact that does not check out, and every mount
     checks the file's bytes against that digest
+  * a worker writes its archive under a name of its own; only complete(),
+    under the lock and while the lease holds, renames it onto the name a
+    READY record points at, so a worker whose lease was swept never
+    touches the current archive
   * concurrent pulls of one reference share a single task (single-flight),
     so a popular image is downloaded once, not once per caller
   * after a restart, anything still transient in the store is failed before
@@ -38,7 +42,7 @@ from typing import Callable, Iterator, Optional
 from .authsvc import Credential, Principal
 from .config import Config
 from .errors import (AuthError, IllegalTransition, LeaseRevoked, NotFound,
-                     UdigateError, VerifyError)
+                     StorageIoError, UdigateError, VerifyError)
 from .filetree import apply_site_mods, default_site_config, flatten, tree_from_blob
 from .refs import ImageReference
 from .registry import SilentAbort
@@ -363,8 +367,12 @@ class Gateway:
         return self._fail_transients(lambda rec: rec.lease_expires_at < now, "lease expired in")
 
     def recover_on_startup(self) -> list[ImageRecord]:
-        """Fail anything still transient in the replayed store. Must run
-        before traffic: a restart proves the old workers are gone."""
+        """Fail anything still transient in the replayed store and delete
+        the archives its workers left half written. Must run before
+        traffic: a restart proves the old workers are gone."""
+        for name in os.listdir(self.udi_dir):
+            if name.endswith(".part") or name.startswith(".udi-"):
+                os.unlink(os.path.join(self.udi_dir, name))
         return self._fail_transients(lambda rec: True, "gateway restart during")
 
     def has_transient(self) -> bool:
@@ -398,16 +406,22 @@ class Gateway:
             self._transition(rec, ImageState.CONVERTING, content_digest=content_digest)
 
     def complete(self, task: PullTask, udi_path: str) -> ImageRecord:
-        """Verify the written archive, then and only then go READY with its
-        trailer digest recorded as udi_digest."""
+        """Verify the written archive, then and only then, while the task
+        still holds its lease, rename it onto the reference's archive name
+        and go READY with its trailer digest recorded as udi_digest."""
         check = verify_udi(udi_path)
         if not check.ok:
             raise VerifyError(f"fresh archive rejected ({check.reason}): {check.detail}")
         size = os.path.getsize(udi_path)
         with self._lock:
             rec = self._rec_for_task(task)
+            dest = self._udi_dest(task.ref)
+            try:
+                os.replace(udi_path, dest)
+            except OSError as exc:
+                raise StorageIoError(f"cannot place archive: {exc}") from exc
             self._transition(rec, ImageState.READY, verified=True,
-                             udi_path=udi_path, udi_digest=check.digest,
+                             udi_path=dest, udi_digest=check.digest,
                              size_bytes=size, last_error="")
             return rec.snapshot()
 
@@ -491,14 +505,16 @@ class Gateway:
             self.renew_lease(task)
 
         modified = apply_site_mods(flat, self.site)
-        desc = write_udi(modified, self._udi_dest(task.ref),
-                         source_ref=task.ref.canonical(), created_at=self.clock.now(),
-                         site_mods=[m.summary() for m in self.site.mods])
+        # a worker-owned name: only complete(), under the lease, moves it
+        # onto the archive name a READY record points at
+        part = f"{self._udi_dest(task.ref)}.{task.lease_id}.part"
+        write_udi(modified, part, source_ref=task.ref.canonical(),
+                  created_at=self.clock.now(), site_mods=[m.summary() for m in self.site.mods])
         try:
-            self.complete(task, desc.path)
+            self.complete(task, part)
         except Exception:
             try:
-                os.unlink(desc.path)
+                os.unlink(part)
             except OSError:
                 pass
             raise

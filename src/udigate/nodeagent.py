@@ -7,12 +7,12 @@ its own positive-and-negative result cache so a storm of simultaneous job
 starts does not turn into a storm of directory lookups.
 
 Mounting is gated hard: node auth must be up, the credential must verify,
-and the archive must pass check_udi against the descriptor's digest, which
-the caller takes from the READY record. The gateway verified the archive's
-structure once before it recorded that digest; a mount checks identity,
-one forward pass that hashes the whole body on every mount. There is
-deliberately no fast path that trusts bytes on disk, and no check cache
-keyed on file stat or on an earlier mount.
+and the archive at the given path must pass check_udi against the given
+digest; the caller takes both from the READY record (udi_path, udi_digest).
+The gateway verified the archive's structure once before it recorded that
+digest; a mount checks identity, one forward pass that hashes the whole
+body on every mount. There is deliberately no fast path that trusts bytes
+on disk, and no check cache keyed on file stat or on an earlier mount.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .config import Config
 from .errors import AlreadyMounted, AuthServiceDown, IdentityTimeout, NotFound
 # scan_udi and verify_udi stay importable here: wallbench/spans.py wraps
 # nodeagent.scan_udi and nodeagent.verify_udi by name
-from .udi import UdiDescriptor, check_udi, scan_udi, verify_udi  # noqa: F401
+from .udi import check_udi, scan_udi, verify_udi  # noqa: F401
 
 
 class GroupCache:
@@ -62,23 +62,16 @@ class IdentityBackend:
     """
 
     def __init__(self, directory: dict[int, tuple[int, ...]], cap: int, timeout: float,
-                 latency_mean: float, latency_jitter: float = 0.0, rng=None, tracer=None):
+                 latency_mean: float, tracer=None):
         self.directory = {int(k): tuple(sorted(v)) for k, v in directory.items()}
         self.cap = int(cap)
         self.timeout = float(timeout)
         self.latency_mean = float(latency_mean)
-        self.latency_jitter = float(latency_jitter)
-        self.rng = rng
         self.tracer = tracer
         self._busy: list[float] = []
         self.requests = 0
         self.admitted = 0
         self.timeouts = 0
-
-    def _service_time(self) -> float:
-        if self.latency_jitter > 0 and self.rng is not None:
-            return self.latency_mean + self.rng.expovariate(1.0 / self.latency_jitter)
-        return self.latency_mean
 
     def lookup(self, uid: int, arrival: float) -> tuple[Optional[tuple[int, ...]], float]:
         """Returns (gids or None, seconds from arrival to completion)."""
@@ -100,7 +93,7 @@ class IdentityBackend:
             raise IdentityTimeout(
                 f"group resolution for uid {uid} queued {queued:.3f}s, "
                 f"timeout is {self.timeout:.3f}s")
-        done = admit + self._service_time()
+        done = admit + self.latency_mean
         heapq.heappush(busy, done)
         self.admitted += 1
         if self.tracer is not None:
@@ -162,24 +155,25 @@ class NodeAgent:
 
     # -- mount lifecycle ------------------------------------------------------------
 
-    def mount_udi(self, desc: UdiDescriptor, cred: Credential, job_id: str) -> float:
-        """Validate everything, register the mount. Returns the identity
-        wait. Raises AuthServiceDown, MacMismatch, CredentialExpired,
-        UdiCorrupt, NotFound, IdentityTimeout, AlreadyMounted."""
+    def mount_udi(self, path: str, digest: str, cred: Credential, job_id: str) -> float:
+        """Validate everything, register the mount of the archive at path
+        under digest (its trailer hex). Returns the identity wait. Raises
+        AuthServiceDown, MacMismatch, CredentialExpired, UdiCorrupt,
+        NotFound, IdentityTimeout, AlreadyMounted."""
         if not self.auth_up:
             raise AuthServiceDown(f"{self.name}: credential service down on node")
         principal = self.verifier.verify(cred)
 
-        if self.has_mount(job_id, desc.content_digest):
-            raise AlreadyMounted(f"{self.name}: {desc.content_digest[:12]} already mounted for {job_id}")
+        if self.has_mount(job_id, digest):
+            raise AlreadyMounted(f"{self.name}: {digest[:12]} already mounted for {job_id}")
 
-        check_udi(desc.path, desc.content_digest)
+        check_udi(path, digest)
 
         gids, wait = self.resolve_groups(principal.uid)
 
-        self._mounts.setdefault(job_id, set()).add(desc.content_digest)
+        self._mounts.setdefault(job_id, set()).add(digest)
         self.mounts_done += 1
-        self._trace("mount", [("job", job_id), ("digest", desc.content_digest[:12]),
+        self._trace("mount", [("job", job_id), ("digest", digest[:12]),
                               ("groups", len(gids))])
         return wait
 

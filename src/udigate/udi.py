@@ -19,25 +19,28 @@ Layout, all integers little-endian:
 Entries are sorted by path, so identical trees with identical metadata give
 bit-identical archives. The writer takes the entry count up front, streams
 each entry through a hashing wrapper as it arrives (its header packed with
-precompiled structs into one write, its content after it), and lands on the
-final name via rename, so a crashed writer leaves no partial archive behind.
+precompiled structs into one write, its content after it), and lands on
+dest_path via rename, so a crashed writer leaves no partial archive behind.
 
-open_udi reads an archive once, front to back, in windows of at most 1 MiB
-(a small archive in a single read), parses each header with precompiled
-structs and hashes every body byte exactly once, so memory stays bounded
-whatever the archive's size. It returns the descriptor and the file table,
-or raises UdiCorrupt with the reason. verify_udi wraps it for a path or an
-in-memory image and never raises: it reports (ok, reason) and, on success,
-the trailer digest. The gateway gates READY on it and records that digest;
-read_udi verifies in the same pass that loads the tree. scan_udi makes the
-same walk without hashing and is for display only.
+Every reader goes through one forward pass over the archive that hashes
+every body byte exactly once and parses only when asked: bytes and a file
+of at most 1 MiB are one window taken in a single read, a larger file is
+read front to back in windows of at most 1 MiB, so memory stays bounded
+whatever the archive's size. Every reader reports a bad or unreadable
+archive as UdiCorrupt with the reason (io for a file that cannot be read).
 
-check_udi is the mount-time check: through the same forward reader, it
-parses nothing, hashes every body byte in windows of at most 1 MiB, and
-requires the hash to match both the stored trailer and the digest the
-gateway recorded. The structure was
-verified once, before that digest could enter a READY record; by SHA-256's
-second-preimage resistance, bytes that hash to it are those same bytes.
+open_udi parses headers with precompiled structs and returns the descriptor
+and the file table; scan_udi is another name for it. verify_udi makes the
+same pass for a path or an in-memory image, never raises, and reports (ok,
+reason) and, on success, the trailer digest. The gateway gates READY on it
+and records that digest. read_udi reads a file once, verifies those bytes
+and loads the tree from them.
+
+check_udi is the mount-time check: it parses nothing and requires the body
+hash to match both the stored trailer and the digest the gateway recorded.
+The structure was verified once, before that digest could enter a READY
+record; by SHA-256's second-preimage resistance, bytes that hash to it are
+those same bytes.
 """
 from __future__ import annotations
 
@@ -184,29 +187,29 @@ def write_udi(tree: FileTree, dest_path: str, source_ref: str, created_at: float
 
 
 class _Reader:
-    """Forward-only window over an archive body.
+    """Forward-only window over an archive body that hashes every body byte.
 
-    An image in memory (bytes, or a file small enough to take in one read)
-    is a single window, hashed in one call by finish(). A larger file is
-    read front to back in windows of at most _WINDOW bytes; when hashing,
-    each window is fed to the hash as it arrives, so every body byte is
-    read and hashed exactly once. Without hashing, content that runs past
-    the window is skipped with a seek. No read crosses into the trailer.
+    An image in memory (bytes, or a file of at most _WINDOW bytes, taken in
+    one read of its size) is a single window, hashed in one call at the
+    end. A larger file is read front to back in windows of at most _WINDOW
+    bytes, each fed to the hash as it arrives, so every body byte is read
+    and hashed exactly once. No read crosses into the trailer.
 
     The parser keeps its cursor as a position in buf; buf[:limit] are body
     bytes, and a window move returns the cursor's new position.
     """
 
-    __slots__ = ("fh", "hashing", "sha", "body_end", "buf", "base", "limit", "read_to")
+    __slots__ = ("fh", "sha", "body_end", "buf", "base", "limit", "read_to")
 
-    def __init__(self, fh, data, size: int, hashing: bool):
+    def __init__(self, fh, data, size: int):
+        if size < MIN_SIZE:
+            raise UdiCorrupt("truncated", "shorter than fixed header")
         self.fh = fh
-        self.hashing = hashing
         self.body_end = size - TRAILER_LEN
         self.base = 0     # archive offset of buf[0]
         self.read_to = 0  # archive offset of the next file read
         self.buf = data if fh is None else b""
-        self.sha = hashlib.sha256() if hashing and fh is not None else None
+        self.sha = None if fh is None else hashlib.sha256()
         self.limit = min(len(self.buf), self.body_end)
 
     def _read_window(self) -> bytes:
@@ -214,8 +217,7 @@ class _Reader:
         data = self.fh.read(n)
         if len(data) != n:
             raise UdiCorrupt("truncated", "short read")
-        if self.sha is not None:
-            self.sha.update(data)
+        self.sha.update(data)
         self.read_to += n
         return data
 
@@ -239,40 +241,39 @@ class _Reader:
         return pos
 
     def skip(self, pos: int, n: int, what: str) -> int:
-        """Move the cursor past n bytes of content."""
+        """Move the cursor past n body bytes, reading and hashing them."""
         target = self.base + pos + n
         if target > self.body_end:
             raise UdiCorrupt("truncated", what)
         if pos + n <= self.limit:  # always so for an image in memory
             return pos + n
-        if self.sha is None:
-            self.fh.seek(target)
-            self.read_to = target
-            self._move(b"", target)
-            return 0
         while self.read_to < target:
             window = self._read_window()
         self._move(window, self.read_to - len(window))
         return target - self.base
 
-    def finish(self) -> tuple[bytes, bytes | None]:
-        """(stored trailer, body hash or None when not hashing), once the
-        cursor stands at the end of the body."""
+    def run(self, walk):
+        """walk(self) from the start of the body to its end, then the
+        trailer check. Returns (walk's result, archive size, stored
+        trailer)."""
+        result = walk(self)
         if self.fh is None:
             stored = self.buf[self.body_end:]
-            if not self.hashing:
-                return stored, None
-            return stored, hashlib.sha256(memoryview(self.buf)[:self.body_end]).digest()
-        stored = self.fh.read(TRAILER_LEN)
-        if len(stored) != TRAILER_LEN:
-            raise UdiCorrupt("truncated", "trailer short read")
-        return stored, self.sha.digest() if self.sha is not None else None
+            computed = hashlib.sha256(memoryview(self.buf)[:self.body_end]).digest()
+        else:
+            stored = self.fh.read(TRAILER_LEN)
+            if len(stored) != TRAILER_LEN:
+                raise UdiCorrupt("truncated", "trailer short read")
+            computed = self.sha.digest()
+        if computed != stored:
+            raise UdiCorrupt("checksum", "trailer does not match body hash")
+        return result, self.body_end + TRAILER_LEN, stored
 
 
-def _parse(r: _Reader, keep_content: bool) -> tuple[dict, list[tuple], list[bytes]]:
-    """Header, metadata and file table, up to the trailer. Entries come back
-    as UdiEntryInfo field tuples; contents holds each entry's content bytes
-    when keep_content is set."""
+def _parse(r: _Reader) -> tuple[tuple, list[tuple]]:
+    """Header, metadata and file table, up to the trailer. Returns the
+    metadata as (created_at, source_ref, site_mods) and the entries as
+    UdiEntryInfo field tuples."""
     pos = r.ensure(0, _HEAD.size, "header")
     magic, version, meta_len = _HEAD.unpack_from(r.buf, pos)
     pos += _HEAD.size
@@ -284,10 +285,12 @@ def _parse(r: _Reader, keep_content: bool) -> tuple[dict, list[tuple], list[byte
         raise UdiCorrupt("truncated", "metadata length exceeds limit")
     pos = r.ensure(pos, meta_len, "metadata")
     try:
-        meta = json.loads(r.buf[pos:pos + meta_len].decode("utf-8"))
-        if not isinstance(meta, dict):
+        doc = json.loads(r.buf[pos:pos + meta_len].decode("utf-8"))
+        if not isinstance(doc, dict):
             raise ValueError("metadata not an object")
-    except (ValueError, UnicodeDecodeError) as exc:
+        meta = (float(doc.get("created_at", 0.0)), str(doc.get("source_ref", "")),
+                tuple(doc.get("site_mods", ())))
+    except (TypeError, ValueError, UnicodeDecodeError) as exc:
         raise UdiCorrupt("metadata", str(exc))
     pos = r.ensure(pos + meta_len, _COUNT.size, "count")
     (count,) = _COUNT.unpack_from(r.buf, pos)
@@ -296,7 +299,6 @@ def _parse(r: _Reader, keep_content: bool) -> tuple[dict, list[tuple], list[byte
         raise UdiCorrupt("truncated", "entry count exceeds limit")
 
     entries: list[tuple] = []
-    contents: list[bytes] = []
     path_len_of, fields_of = _PATH_LEN.unpack_from, _ENTRY_FIELDS.unpack_from
     fields = _ENTRY_FIELDS.size
     buf, limit = r.buf, r.limit
@@ -321,131 +323,99 @@ def _parse(r: _Reader, keep_content: bool) -> tuple[dict, list[tuple], list[byte
         if kind is None:
             raise UdiCorrupt("metadata", f"entry {i} unknown kind {kind_code}")
         pos = fields_at + fields
-        content_off = r.base + pos
-        end = pos + content_len
-        if end > limit:
-            if keep_content:
-                pos = r.ensure(pos, content_len, f"entry {i} content")
-                end = pos + content_len
-            else:
-                end = r.skip(pos, content_len, f"entry {i} content")
+        entries.append((path, kind, mode, content_len, r.base + pos))
+        if pos + content_len > limit:
+            pos = r.skip(pos, content_len, f"entry {i} content")
             buf, limit = r.buf, r.limit
-        if keep_content:
-            contents.append(buf[end - content_len:end])
-        pos = end
-        entries.append((path, kind, mode, content_len, content_off))
+        else:
+            pos += content_len
     undeclared = r.body_end - (r.base + pos)
     if undeclared:
         raise UdiCorrupt("truncated", f"{undeclared} undeclared bytes before trailer")
-    return meta, entries, contents
+    return meta, entries
 
 
-def _walk(fh, data, size: int, path: str, hashing: bool,
-          keep_content: bool) -> tuple[UdiDescriptor, list[tuple], list[bytes]]:
-    if size < MIN_SIZE:
-        raise UdiCorrupt("truncated", "shorter than fixed header")
-    r = _Reader(fh, data, size, hashing)
-    meta, entries, contents = _parse(r, keep_content)
-    stored, computed = r.finish()
-    if computed is not None and computed != stored:
-        raise UdiCorrupt("checksum", "trailer does not match body hash")
-    try:
-        desc = UdiDescriptor(
-            path=path, content_digest=stored.hex(), size_bytes=size,
-            created_at=float(meta.get("created_at", 0.0)),
-            source_ref=str(meta.get("source_ref", "")),
-            site_mods=tuple(meta.get("site_mods", ())))
-    except (TypeError, ValueError) as exc:
-        raise UdiCorrupt("metadata", str(exc))
-    return desc, entries, contents
+def _skip_body(r: _Reader) -> None:
+    r.skip(0, r.body_end, "body")
 
 
-def _open(source, hashing: bool,
-          keep_content: bool = False) -> tuple[UdiDescriptor, list[tuple], list[bytes]]:
+def _forward(source, walk):
+    """The one read path: walk the body of source (a path, or the image
+    itself as bytes) through a _Reader, hashing every body byte, and
+    require the hash to equal the stored trailer. A file of at most _WINDOW
+    bytes is taken in one read of its size, a larger one in windows.
+    Returns _Reader.run's triple. Raises UdiCorrupt; reason io when the
+    file cannot be read."""
     if isinstance(source, (bytes, bytearray)):
-        return _walk(None, source, len(source), "", hashing, keep_content)
-    path = os.fspath(source)
+        return _Reader(None, source, len(source)).run(walk)
     try:
-        with open(path, "rb") as fh:
+        with open(source, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             if size > _WINDOW:
-                return _walk(fh, None, size, path, hashing, keep_content)
-            data = fh.read()
+                return _Reader(fh, None, size).run(walk)
+            data = fh.read(size)
     except OSError as exc:
-        raise StorageIoError(f"cannot read archive: {exc}") from exc
-    return _walk(None, data, len(data), path, hashing, keep_content)
+        raise UdiCorrupt("io", str(exc)) from exc
+    return _Reader(None, data, len(data)).run(walk)
 
 
 def open_udi(source: str | bytes) -> tuple[UdiDescriptor, list[UdiEntryInfo]]:
     """Read an archive (a path, or the image itself as bytes) in one forward
     pass: structure walk plus trailer hash over the whole body, in bounded
     memory. Returns the descriptor (path "" for bytes) and the file table.
-    Raises UdiCorrupt with the reason, or StorageIoError if the file cannot
-    be read."""
-    desc, entries, _ = _open(source, hashing=True)
-    return desc, [UdiEntryInfo(*e) for e in entries]
+    Raises UdiCorrupt with the reason."""
+    (meta, entries), size, stored = _forward(source, _parse)
+    path = "" if isinstance(source, (bytes, bytearray)) else os.fspath(source)
+    return UdiDescriptor(path, stored.hex(), size, *meta), [UdiEntryInfo(*e) for e in entries]
+
+
+# the descriptor and file table of an archive, for display; the name stays
+# because benchmark spans wrap nodeagent.scan_udi and cluster.scan_udi
+scan_udi = open_udi
 
 
 def verify_udi(source: str | bytes) -> UdiCheck:
     """Full integrity check of an archive (a path, or the image itself as
-    bytes), as open_udi. Never raises; on success digest is the trailer
-    hex."""
+    bytes), as open_udi but building no file table. Never raises; on
+    success digest is the trailer hex."""
     try:
-        desc, _, _ = _open(source, hashing=True)
+        _, _, stored = _forward(source, _parse)
     except UdiCorrupt as exc:
         return UdiCheck(False, exc.reason, str(exc))
-    except StorageIoError as exc:
-        return UdiCheck(False, "io", str(exc))
-    return UdiCheck(True, digest=desc.content_digest)
+    return UdiCheck(True, digest=stored.hex())
 
 
 def check_udi(path: str, expected: str) -> UdiCheck:
-    """Hash every body byte of the archive at path with _Reader, front to
-    back in reads of at most _WINDOW bytes, and require the hash to equal
-    both the stored trailer and expected (trailer hex). Parses nothing: the
-    structure was verified before expected was recorded. Returns the
-    passing UdiCheck; raises UdiCorrupt with reason truncated, io, checksum
-    or descriptor mismatch."""
-    try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            if size < MIN_SIZE:
-                raise UdiCorrupt("truncated", "shorter than fixed header")
-            r = _Reader(fh, None, size, True)
-            r.skip(0, r.body_end, "body")
-            stored, computed = r.finish()
-    except OSError as exc:
-        raise UdiCorrupt("io", str(exc)) from exc
-    if computed != stored:
-        raise UdiCorrupt("checksum", "trailer does not match body hash")
+    """Hash every body byte of the archive at path through the one read
+    path, parsing nothing, and require the hash to equal both the stored
+    trailer and expected (trailer hex): the structure was verified before
+    expected was recorded. Returns the passing UdiCheck; raises UdiCorrupt
+    with reason truncated, io, checksum or descriptor mismatch."""
+    _, _, stored = _forward(path, _skip_body)
     if stored.hex() != expected:
         raise UdiCorrupt("descriptor mismatch")
     return UdiCheck(True, digest=expected)
 
 
-def scan_udi(path: str) -> tuple[UdiDescriptor, list[UdiEntryInfo]]:
-    """Metadata walk without content loads or hashing. Structural errors
-    raise UdiCorrupt. Callers that need integrity must verify_udi first."""
-    desc, entries, _ = _open(path, hashing=False)
-    return desc, [UdiEntryInfo(*e) for e in entries]
-
-
 def read_udi(path: str) -> tuple[FileTree, UdiDescriptor]:
-    """Verify and load the whole tree into memory in one pass. Raises
-    UdiCorrupt, with the reason and the path, if the archive does not
-    verify or cannot be read."""
+    """Read the file once, verify those bytes as open_udi does and load the
+    whole tree from them. Raises UdiCorrupt, with the reason and the path,
+    if the archive does not verify or cannot be read."""
     try:
-        desc, entries, contents = _open(path, hashing=True, keep_content=True)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        (meta, entries), size, stored = _forward(data, _parse)
+    except OSError as exc:
+        raise UdiCorrupt("io", path) from exc
     except UdiCorrupt as exc:
         raise UdiCorrupt(exc.reason, path) from exc
-    except StorageIoError as exc:
-        raise UdiCorrupt("io", path) from exc
     tree = FileTree()
-    for (path, kind, mode, _, _), content in zip(entries, contents):
+    for entry_path, kind, mode, length, offset in entries:
+        content = data[offset:offset + length]
         if kind == KIND_FILE:
-            tree.set_entry(path, TreeEntry(KIND_FILE, mode, content))
+            tree.set_entry(entry_path, TreeEntry(KIND_FILE, mode, content))
         elif kind == KIND_SYMLINK:
-            tree.set_entry(path, TreeEntry(KIND_SYMLINK, mode, b"", content.decode("utf-8")))
+            tree.set_entry(entry_path, TreeEntry(KIND_SYMLINK, mode, b"", content.decode("utf-8")))
         else:
-            tree.set_entry(path, TreeEntry(KIND_DIR, mode))
-    return tree, desc
+            tree.set_entry(entry_path, TreeEntry(KIND_DIR, mode))
+    return tree, UdiDescriptor(path, stored.hex(), size, *meta)

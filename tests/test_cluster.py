@@ -140,9 +140,9 @@ def test_directive_mounts_on_every_allocated_node(tmp_path):
     mounted = set()
     original = sim.nodes[0].__class__.mount_udi
 
-    def spy(node, desc, cred, job_id):
+    def spy(node, path, digest, cred, job_id):
         mounted.add(node.node_id)
-        return original(node, desc, cred, job_id)
+        return original(node, path, digest, cred, job_id)
 
     for n in sim.nodes:
         n.mount_udi = spy.__get__(n)

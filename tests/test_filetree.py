@@ -622,17 +622,35 @@ def _hide_250_subs():
     return whiteouts
 
 
-def test_flatten_time_does_not_grow_with_opaque_markers():
+def _index_builds(monkeypatch, layers):
+    """Sorted-index builds (a _sorted_keys call that finds no index) over
+    every tree while flatten(layers) runs: at most one per layer and one
+    for the result, whatever the layers hold."""
+    builds = []
+    sorted_keys = FileTree._sorted_keys
+
+    def counting(tree):
+        if tree._keys is None:
+            builds.append(tree)
+        return sorted_keys(tree)
+
+    with monkeypatch.context() as m:
+        m.setattr(FileTree, "_sorted_keys", counting)
+        flatten(layers)
+    return len(builds)
+
+
+def test_flatten_time_does_not_grow_with_opaque_markers(monkeypatch):
     base, whiteouts, opaque = _wide_base(), _hide_250_subs(), FileTree()
     for d in range(250):  # both hide the same 250 entries
         opaque.add_file(f"/d{d:03}/sub/{OPAQUE_WHITEOUT}")
     assert flatten([base, whiteouts]) == flatten([base, opaque])
     # an opaque marker keeps its dir; dropping and re-adding the dir's path
     # would rebuild the sorted index once per marker
-    assert _best_flatten([base, opaque]) < 2 * _best_flatten([base, whiteouts])
+    assert _index_builds(monkeypatch, [base, opaque]) <= 3
 
 
-def test_flatten_time_does_not_grow_with_dirs_replaced_after_new_paths():
+def test_flatten_time_does_not_grow_with_dirs_replaced_after_new_paths(monkeypatch):
     base, whiteouts, replacing = _wide_base(), _hide_250_subs(), FileTree()
     for d in range(250):
         replacing.add_file(f"/d{d:03}/sua")  # new, and sorts just before sub
@@ -640,17 +658,17 @@ def test_flatten_time_does_not_grow_with_dirs_replaced_after_new_paths():
     assert len(flatten([base, replacing])) == len(flatten([base, whiteouts])) + 250
     # removing what lies below each sub/ after inserting the path before it
     # would rebuild the sorted index once per dir
-    assert _best_flatten([base, replacing]) < 2 * _best_flatten([base, whiteouts])
+    assert _index_builds(monkeypatch, [base, replacing]) <= 3
 
 
-def test_flatten_time_does_not_grow_with_opaque_markers_in_new_dirs():
+def test_flatten_time_does_not_grow_with_opaque_markers_in_new_dirs(monkeypatch):
     base, whiteouts, opaque = _wide_base(), _hide_250_subs(), FileTree()
     for d in range(250):
         opaque.add_file(f"/d{d:03}/new/{OPAQUE_WHITEOUT}")
     assert len(flatten([base, opaque])) == len(flatten([base, whiteouts])) + 500
     # a new dir has nothing below it; removing below it right after
     # inserting it would rebuild the sorted index once per marker
-    assert _best_flatten([base, opaque]) < 2 * _best_flatten([base, whiteouts])
+    assert _index_builds(monkeypatch, [base, opaque]) <= 3
 
 
 # -- site modification ------------------------------------------------------------

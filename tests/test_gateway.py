@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+import udigate.gateway
 from helpers import append_unusable_entries
 from udigate.authsvc import CredentialVerifier, issue_credential
 from udigate.clock import VirtualClock
@@ -22,7 +23,7 @@ from udigate.gateway import Gateway, ImageState
 from udigate.refs import parse_reference
 from udigate.registry import LocalRegistry
 from udigate.store import RecordLog
-from udigate.udi import UdiCheck, scan_udi, verify_udi
+from udigate.udi import UdiCheck, check_udi, scan_udi, verify_udi
 
 REF = parse_reference("app/alpha:v1")
 
@@ -192,6 +193,52 @@ def test_sweeper_fails_lapsed_lease(rig, fast_cfg):
     with pytest.raises(LeaseRevoked):
         gw.renew_lease(task)
     assert gw.fail_task(task, RuntimeError("late")) is False
+
+
+def test_late_worker_never_touches_the_current_archive(rig, fast_cfg, monkeypatch):
+    # worker A's lease is swept while it writes; worker B pulls the retry to
+    # READY before A's write lands. A must neither replace nor unlink B's
+    # archive, and nothing half written may stay behind.
+    gw, clock, _ = rig
+    real_write = udigate.gateway.write_udi
+    late = []
+
+    def write_after_a_retry(*args, **kwargs):
+        if not late:
+            late.append(True)
+            clock.advance(fast_cfg.lease_duration + 0.001)
+            assert [r.state for r in gw.sweep_stale()] == [ImageState.FAILED]
+            gw.pull(REF)
+            drive(gw, clock)
+            assert gw.lookup(REF).state is ImageState.READY
+        return real_write(*args, **kwargs)
+
+    monkeypatch.setattr(udigate.gateway, "write_udi", write_after_a_retry)
+    gw.pull(REF)
+    drive(gw, clock)
+    rec = gw.lookup(REF)
+    assert rec.state is ImageState.READY
+    assert rec.attempts == 2
+    assert check_udi(rec.udi_path, rec.udi_digest).ok
+    assert os.listdir(gw.udi_dir) == [os.path.basename(rec.udi_path)]
+
+
+def test_restart_deletes_half_written_archives(rig, fast_cfg):
+    gw, clock, registry = rig
+    gw.pull(REF)
+    drive(gw, clock)
+    gw.close()
+    kept = os.listdir(gw.udi_dir)
+    for name in ("x.udi.0123456789abcdef.part", ".udi-tmp1234"):
+        with open(os.path.join(gw.udi_dir, name), "wb") as fh:
+            fh.write(b"partial")
+    reborn = Gateway(fast_cfg, clock, registry, gw.state_dir)
+    try:
+        reborn.recover_on_startup()
+        assert os.listdir(reborn.udi_dir) == kept
+        assert verify_udi(reborn.lookup(REF).udi_path).ok
+    finally:
+        reborn.close()
 
 
 def test_heartbeats_keep_lease_alive(rig, fast_cfg):
@@ -420,14 +467,20 @@ def test_lookup_and_list(rig):
 
 
 def test_audit_hook_sees_every_change(fast_cfg, tmp_path):
-    seen = []
+    seen, ready_path = [], []
+
+    def hook(key, old, new, snap, verified):
+        seen.append((old, new, verified))
+        if new is ImageState.READY:
+            ready_path.append(snap.udi_path)
+            assert verify_udi(snap.udi_path).ok
+
     clock = VirtualClock()
-    gw = Gateway(fast_cfg, clock, make_registry(), str(tmp_path / "s"),
-                 audit_hook=lambda key, old, new, snap, verified:
-                     seen.append((old, new, verified)))
+    gw = Gateway(fast_cfg, clock, make_registry(), str(tmp_path / "s"), audit_hook=hook)
     try:
         gw.pull(REF)
         drive(gw, clock)
+        assert verify_udi(ready_path[0]).ok  # the hook sees the final file
         assert seen == [
             (None, ImageState.ENQUEUED, False),
             (ImageState.ENQUEUED, ImageState.PULLING, False),

@@ -16,7 +16,7 @@ from udigate.errors import (
     UdiCorrupt,
 )
 from udigate.nodeagent import GroupCache, IdentityBackend, NodeAgent
-from udigate.udi import UdiDescriptor, check_udi, write_udi
+from udigate.udi import check_udi, write_udi
 
 SECRET = b"node-secret"
 DIRECTORY = {1001: (100, 200), 1002: (100,)}
@@ -120,7 +120,7 @@ def rig(fast_cfg, tmp_path):
 
 def test_mount_happy_path(rig):
     agent, clock, _, desc, cred = rig
-    wait = agent.mount_udi(desc, cred, "job-1")
+    wait = agent.mount_udi(desc.path, desc.content_digest, cred, "job-1")
     assert wait == 1.0  # first resolution goes to the backend
     assert agent.has_mount("job-1", desc.content_digest)
     assert agent.mount_count() == 1
@@ -195,23 +195,23 @@ def test_mount_requires_node_auth(rig):
     agent, _, _, desc, cred = rig
     agent.set_auth_up(False)
     with pytest.raises(AuthServiceDown):
-        agent.mount_udi(desc, cred, "job-1")
+        agent.mount_udi(desc.path, desc.content_digest, cred, "job-1")
     agent.set_auth_up(True)
-    agent.mount_udi(desc, cred, "job-1")
+    agent.mount_udi(desc.path, desc.content_digest, cred, "job-1")
 
 
 def test_mount_rejects_bad_mac(rig):
     agent, clock, _, desc, _ = rig
     forged = issue_credential(1001, (100, 200), "user", b"wrong-secret", clock.now())
     with pytest.raises(MacMismatch):
-        agent.mount_udi(desc, forged, "job-1")
+        agent.mount_udi(desc.path, desc.content_digest, forged, "job-1")
 
 
 def test_mount_rejects_expired_credential(rig, fast_cfg):
     agent, clock, _, desc, cred = rig
     clock.advance(fast_cfg.credential_ttl + 1.0)
     with pytest.raises(CredentialExpired):
-        agent.mount_udi(desc, cred, "job-1")
+        agent.mount_udi(desc.path, desc.content_digest, cred, "job-1")
 
 
 def test_mount_rejects_corrupt_archive(rig, tmp_path):
@@ -221,34 +221,31 @@ def test_mount_rejects_corrupt_archive(rig, tmp_path):
     with open(desc.path, "wb") as fh:
         fh.write(bytes(data))
     with pytest.raises(UdiCorrupt):
-        agent.mount_udi(desc, cred, "job-1")
+        agent.mount_udi(desc.path, desc.content_digest, cred, "job-1")
     assert agent.mount_count() == 0
 
 
 def test_mount_rejects_descriptor_mismatch(rig):
     agent, _, _, desc, cred = rig
-    lying = UdiDescriptor(path=desc.path, content_digest="0" * 64,
-                          size_bytes=desc.size_bytes, created_at=desc.created_at,
-                          source_ref=desc.source_ref)
     with pytest.raises(UdiCorrupt) as exc_info:
-        agent.mount_udi(lying, cred, "job-1")
+        agent.mount_udi(desc.path, "0" * 64, cred, "job-1")
     assert "descriptor mismatch" in str(exc_info.value)
 
 
 def test_duplicate_mount_rejected(rig):
     agent, _, _, desc, cred = rig
-    agent.mount_udi(desc, cred, "job-1")
+    agent.mount_udi(desc.path, desc.content_digest, cred, "job-1")
     with pytest.raises(AlreadyMounted):
-        agent.mount_udi(desc, cred, "job-1")
+        agent.mount_udi(desc.path, desc.content_digest, cred, "job-1")
     # same archive for a different job is a separate mount
-    agent.mount_udi(desc, cred, "job-2")
+    agent.mount_udi(desc.path, desc.content_digest, cred, "job-2")
     assert agent.has_mount("job-2", desc.content_digest)
     assert agent.mount_count() == 2
 
 
 def test_unmount_idempotent(rig):
     agent, _, _, desc, cred = rig
-    agent.mount_udi(desc, cred, "job-1")
+    agent.mount_udi(desc.path, desc.content_digest, cred, "job-1")
     assert agent.unmount_job("job-1") == 1
     assert agent.unmount_job("job-1") == 0
     assert agent.mount_count() == 0
@@ -259,9 +256,9 @@ def test_unmount_job_clears_only_that_job(rig, tmp_path):
     other = write_udi(payload_tree(b"other"), str(tmp_path / "o.udi"),
                       source_ref="a/c:v1", created_at=0.0)
     agent.tracer = Tracer()
-    agent.mount_udi(desc, cred, "job-1")
-    agent.mount_udi(other, cred, "job-1")
-    agent.mount_udi(desc, cred, "job-2")
+    agent.mount_udi(desc.path, desc.content_digest, cred, "job-1")
+    agent.mount_udi(other.path, other.content_digest, cred, "job-1")
+    agent.mount_udi(desc.path, desc.content_digest, cred, "job-2")
     assert agent.unmount_job("job-1") == 2
     # traced in digest order, whatever order the mounts came in
     unmounted = [details for _, _, _, details in agent.tracer.events("unmount")]
@@ -287,8 +284,8 @@ def test_mount_opens_archive_once(rig, monkeypatch):
     monkeypatch.setattr(udigate.nodeagent, "check_udi", counting_check)
     monkeypatch.setattr(udigate.nodeagent, "verify_udi", no_walk)
     monkeypatch.setattr(udigate.nodeagent, "scan_udi", no_walk)
-    agent.mount_udi(desc, cred, "job-1")
-    agent.mount_udi(desc, cred, "job-2")
+    agent.mount_udi(desc.path, desc.content_digest, cred, "job-1")
+    agent.mount_udi(desc.path, desc.content_digest, cred, "job-2")
     assert calls == [(desc.path, desc.content_digest)] * 2
 
 
@@ -298,7 +295,7 @@ def test_no_mount_trusts_an_earlier_mount(rig, where):
     # (and node 0 again, for another job) must hash the file afresh
     agent, clock, identity, desc, cred = rig
     other = NodeAgent(8, clock, agent.verifier, identity, agent.config)
-    agent.mount_udi(desc, cred, "job-1")
+    agent.mount_udi(desc.path, desc.content_digest, cred, "job-1")
     data = bytearray(open(desc.path, "rb").read())
     pos = len(data) // 2 if where == "body" else len(data) - 5
     data[pos] ^= 0x01
@@ -306,7 +303,7 @@ def test_no_mount_trusts_an_earlier_mount(rig, where):
         fh.write(bytes(data))
     for node, job in ((other, "job-1"), (agent, "job-2")):
         with pytest.raises(UdiCorrupt) as exc_info:
-            node.mount_udi(desc, cred, job)
+            node.mount_udi(desc.path, desc.content_digest, cred, job)
         assert exc_info.value.reason == "checksum"
     assert other.mount_count() == 0
     assert agent.mount_count() == 1
@@ -320,6 +317,6 @@ def test_mount_refuses_resized_archive(rig, change):
     with open(desc.path, "wb") as fh:
         fh.write(changed)
     with pytest.raises(UdiCorrupt):
-        agent.mount_udi(desc, cred, "job-1")
+        agent.mount_udi(desc.path, desc.content_digest, cred, "job-1")
     assert agent.mount_count() == 0
 

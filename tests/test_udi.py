@@ -185,19 +185,6 @@ def test_streaming_writer_chunked_content(tmp_path):
     assert verify_udi(desc.path).ok
 
 
-def test_scan_does_not_hash(tmp_path):
-    # scan tolerates a bad trailer; only verify checks it
-    desc = _write(payload_tree(), tmp_path / "a.udi")
-    data = bytearray(open(desc.path, "rb").read())
-    data[-1] ^= 0xFF
-    with open(desc.path, "wb") as fh:
-        fh.write(bytes(data))
-    sdesc, infos = scan_udi(desc.path)
-    assert len(infos) == len(payload_tree())
-    assert not verify_udi(desc.path).ok
-    assert sdesc.content_digest == bytes(data[-TRAILER_LEN:]).hex()
-
-
 def test_magic_constant():
     assert MAGIC == b"UDI1"
 
@@ -305,28 +292,30 @@ def test_check_udi_io_and_short_files(tmp_path):
 
 
 def _reads(monkeypatch):
-    """Sizes of every read check_udi makes from here on."""
-    sizes = []
+    """(bytes asked for, bytes read) of every read the reader makes from
+    here on."""
+    reads = []
 
     class Counting(io.FileIO):
         def read(self, n=-1):
             data = super().read(n)
-            sizes.append(len(data))
+            reads.append((n, len(data)))
             return data
 
     monkeypatch.setattr(udigate.udi, "open", lambda path, mode: Counting(path), raising=False)
-    return sizes
+    return reads
 
 
 def test_check_udi_hashes_every_byte_in_bounded_reads(tmp_path, monkeypatch):
     desc = _write(payload_tree(), tmp_path / "a.udi")
     data = open(desc.path, "rb").read()
     n = len(data)
-    sizes = _reads(monkeypatch)
+    reads = _reads(monkeypatch)
     for window in (1, 31, 32, 33, 64, n - 33, n - 32, n - 31, n, n + 1):
         monkeypatch.setattr(udigate.udi, "_WINDOW", window)
-        sizes.clear()
+        reads.clear()
         assert check_udi(desc.path, desc.content_digest).ok
+        sizes = [got for _, got in reads]
         assert sum(sizes) == n and max(sizes) <= max(window, TRAILER_LEN)
         for pos in range(n):
             flipped = bytearray(data)
@@ -338,6 +327,24 @@ def test_check_udi_hashes_every_byte_in_bounded_reads(tmp_path, monkeypatch):
             assert exc_info.value.reason == "checksum", (window, pos)
         with open(desc.path, "wb") as fh:
             fh.write(data)
+
+
+def test_small_archive_is_one_read_of_its_size(tmp_path, monkeypatch):
+    desc = _write(payload_tree(), tmp_path / "a.udi")
+    reads = _reads(monkeypatch)
+    for read in (lambda p: check_udi(p, desc.content_digest), verify_udi, open_udi):
+        reads.clear()
+        read(desc.path)
+        assert reads == [(desc.size_bytes, desc.size_bytes)]
+
+
+def test_unreadable_file_is_io_for_every_reader(tmp_path):
+    missing = str(tmp_path / "missing.udi")
+    assert verify_udi(missing).reason == "io"
+    for read in (open_udi, scan_udi, read_udi, lambda p: check_udi(p, "0" * 64)):
+        with pytest.raises(UdiCorrupt) as exc_info:
+            read(missing)
+        assert exc_info.value.reason == "io"
 
 
 def test_check_udi_refuses_resized_large_archive(tmp_path):
