@@ -187,7 +187,7 @@ def run_forged_archive(seed: int, config: Config | None = None,
 
         # gate two: a node asked to mount those bytes under that digest
         try:
-            agent.mount_udi(path, desc.content_digest, cred, f"job-forge-{trial}")
+            agent.mount_udi(path, desc.digest, cred, f"job-forge-{trial}")
             mount_success += 1
         except UdigateError:
             rejected["mount"] += 1

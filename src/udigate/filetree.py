@@ -229,6 +229,7 @@ class FileTree:
                     raise MalformedLayer(f"{path} is under non-dir {parent}")
                 parent = posixpath.dirname(parent)
 
+    # no production caller; kept only because wallbench/spans.py wraps it by name
     def digest(self) -> str:
         sha = hashlib.sha256()
         for chunk in _blob_chunks(self):

@@ -11,6 +11,8 @@ The hard-won rules encoded here:
   * every transient record carries a lease that its worker must keep
     renewing; the sweeper fails anything whose lease lapsed, so a worker
     that dies silently can stall a record for at most one sweep interval
+  * every layer blob is checked against its manifest digest once, in the
+    transfer step, before it is decoded, whichever registry served it
   * READY is reachable only through complete(), which re-verifies the
     written archive first and records its trailer digest; a record can
     never claim an artifact that does not check out, and every mount
@@ -41,9 +43,9 @@ from typing import Callable, Iterator, Optional
 
 from .authsvc import Credential, Principal
 from .config import Config
-from .errors import (AuthError, IllegalTransition, LeaseRevoked, NotFound,
-                     StorageIoError, UdigateError, VerifyError)
-from .filetree import apply_site_mods, default_site_config, flatten, tree_from_blob
+from .errors import (AuthError, DigestMismatch, IllegalTransition, LeaseRevoked,
+                     NotFound, StorageIoError, UdigateError, VerifyError)
+from .filetree import apply_site_mods, blob_digest, default_site_config, flatten, tree_from_blob
 from .refs import ImageReference
 from .registry import SilentAbort
 from .udi import verify_udi, write_udi
@@ -89,7 +91,7 @@ _NUMBERS = {int, float}
 class ImageRecord:
     ref: ImageReference
     state: ImageState
-    content_digest: str = ""  # tree digest of the flattened layers, before site mods
+    content_digest: str = ""  # SHA-256 of the manifest's layer digests, in order
     udi_path: str = ""
     udi_digest: str = ""  # trailer hex of the verified archive, set on READY
     size_bytes: int = 0
@@ -326,25 +328,22 @@ class Gateway:
         principal = self._verify_cred(cred)
         if self.verifier is not None and not principal.is_admin:
             raise AuthError("expire requires admin scope")
-        unlink_path = ""
         with self._lock:
             rec = self._records.get(ref.key())
             if rec is None:
                 raise NotFound(f"no record for {ref.canonical()} on {ref.system}")
             if rec.state is ImageState.READY:
-                unlink_path = rec.udi_path
                 self._transition(rec, ImageState.EXPIRED)
+                # under the lock, so a re-pull cannot place its archive here first
+                try:
+                    os.unlink(rec.udi_path)
+                except FileNotFoundError:
+                    pass
             elif rec.state in TRANSIENT_STATES:
                 self._transition(rec, ImageState.FAILED, last_error="expired by admin")
             else:
                 self._delete_record(rec)
-            snap = rec.snapshot()
-        if unlink_path:
-            try:
-                os.unlink(unlink_path)
-            except FileNotFoundError:
-                pass
-        return snap
+            return rec.snapshot()
 
     # -- maintenance ------------------------------------------------------------
 
@@ -491,12 +490,14 @@ class Gateway:
                 self.registry.transfer_tick(digest, i / chunks)
                 if i == chunks:
                     blobs[digest] = self.registry.fetch_layer(digest)
+                    if blob_digest(blobs[digest]) != digest:
+                        raise DigestMismatch(f"layer {digest[:12]} bytes do not match digest")
                 self.renew_lease(task)
 
         yield "flatten", 0.0
         # pop: each blob is dropped as soon as its tree is decoded
         flat = flatten([tree_from_blob(blobs.pop(d)) for d in manifest.layers])
-        self.begin_convert(task, flat.digest())
+        self.begin_convert(task, blob_digest("\n".join(manifest.layers).encode()))
 
         convert_cost = manifest.total_size / cfg.convert_bandwidth
         conv_chunks = max(1, math.ceil(convert_cost / cfg.heartbeat_interval))

@@ -4,7 +4,8 @@ LocalRegistry is an in-process content store with fault injection hooks: it
 can go down, corrupt a blob, or abort a transfer partway through either
 loudly (RegistryIoError) or silently (SilentAbort, which models the worker
 process dying mid-stream and reporting nothing). HttpRegistryClient speaks
-the same interface against the serving layout over HTTP.
+the same interface against the serving layout over HTTP. Neither checks a
+blob's digest: the gateway checks each layer, load_from_dir each blob file.
 
 On-disk layout, one directory per image reference:
 
@@ -181,8 +182,6 @@ class LocalRegistry:
             raise RegistryUnknownImage(f"no such blob: {digest[:12]}")
         if corrupt:
             data = bytes([data[0] ^ 0x01]) + data[1:]
-        if blob_digest(data) != digest:
-            raise DigestMismatch(f"layer {digest[:12]} bytes do not match digest")
         return data
 
     # -- disk layout ----------------------------------------------------------
@@ -255,7 +254,4 @@ class HttpRegistryClient:
     def fetch_layer(self, digest: str) -> bytes:
         # the layout nests blobs under each image dir; the serving side
         # resolves digests globally so the client asks by digest alone
-        data = self._get(f"/registry/blobs/{urllib.parse.quote(digest)}")
-        if blob_digest(data) != digest:
-            raise DigestMismatch(f"layer {digest[:12]} bytes do not match digest")
-        return data
+        return self._get(f"/registry/blobs/{urllib.parse.quote(digest)}")

@@ -77,7 +77,7 @@ _ENTRY_FIELDS = struct.Struct("<BHQ")   # kind, mode, content_len (after the pat
 @dataclass(frozen=True)
 class UdiDescriptor:
     path: str
-    content_digest: str  # hex of the trailer hash
+    digest: str  # hex of the trailer hash
     size_bytes: int
     created_at: float
     source_ref: str
@@ -164,7 +164,7 @@ def write_udi_stream(dest_path: str, created_at: float, source_ref: str,
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-    return UdiDescriptor(path=dest_path, content_digest=digest.hex(), size_bytes=size,
+    return UdiDescriptor(path=dest_path, digest=digest.hex(), size_bytes=size,
                          created_at=created_at, source_ref=source_ref,
                          site_mods=site_mods)
 

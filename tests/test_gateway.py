@@ -3,13 +3,14 @@
 import json
 import logging
 import os
+import threading
 
 import pytest
 
 import udigate.gateway
 from helpers import append_unusable_entries
 from udigate.authsvc import CredentialVerifier, issue_credential
-from udigate.clock import VirtualClock
+from udigate.clock import Tracer, VirtualClock
 from udigate.errors import (
     AuthError,
     IllegalTransition,
@@ -18,10 +19,11 @@ from udigate.errors import (
     PersistenceCorrupt,
     VerifyError,
 )
-from udigate.filetree import FileTree, blob_digest, flatten
+from udigate.filetree import FileTree, blob_digest
 from udigate.gateway import Gateway, ImageState
 from udigate.refs import parse_reference
-from udigate.registry import LocalRegistry
+from udigate.httpd import make_registry_server
+from udigate.registry import HttpRegistryClient, LocalRegistry
 from udigate.store import RecordLog
 from udigate.udi import UdiCheck, check_udi, scan_udi, verify_udi
 
@@ -75,18 +77,36 @@ def test_happy_path_reaches_ready(rig):
     assert verify_udi(rec.udi_path) == UdiCheck(True, digest=rec.udi_digest)
 
 
-def test_record_digest_is_flattened_content(rig):
-    # the record tracks what was pulled; the archive trailer additionally
-    # covers site modifications, so the two digests differ by design
-    gw, clock, _ = rig
-    gw.pull(REF)
+def test_content_digest_names_the_manifest_layers(rig):
+    # the record names the image by its layer list, so two tags pushed from
+    # the same layers share it; the archive trailer additionally covers
+    # site modifications, so it is another digest
+    gw, clock, registry = rig
+    registry.add_image("app/alpha", "v2", LAYERS, total_size=4096)
+    registry.add_image("app/beta", "v1", [_LOWER], total_size=4096)
+    refs = [REF, parse_reference("app/alpha:v2"), parse_reference("app/beta:v1")]
+    for ref in refs:
+        gw.pull(ref)
     drive(gw, clock)
-    rec = gw.lookup(REF)
-    assert rec.content_digest == flatten(LAYERS).digest()
-    desc, _ = scan_udi(rec.udi_path)
-    assert desc.content_digest != rec.content_digest
+    v1, v2, beta = (gw.lookup(ref) for ref in refs)
+    layers = registry.fetch_manifest(REF.canonical()).layers
+    assert v1.content_digest == blob_digest("\n".join(layers).encode())
+    assert v2.content_digest == v1.content_digest
+    assert beta.content_digest != v1.content_digest
+    desc, _ = scan_udi(v1.udi_path)
+    assert desc.digest == v1.udi_digest != v1.content_digest
     assert desc.source_ref == REF.canonical()
     assert desc.site_mods  # default site config applied
+
+
+def test_pull_never_digests_the_tree(rig, monkeypatch):
+    gw, clock, _ = rig
+    calls = []
+    monkeypatch.setattr(FileTree, "digest", lambda tree: calls.append(tree) or "")
+    gw.pull(REF)
+    drive(gw, clock)
+    assert gw.lookup(REF).state is ImageState.READY
+    assert calls == []
 
 
 def test_single_flight(rig):
@@ -130,6 +150,48 @@ def test_retry_after_transient_failure(rig):
     assert rec.last_error == ""
     drive(gw, clock)
     assert gw.lookup(REF).state is ImageState.READY
+
+
+@pytest.fixture(params=["local", "http"])
+def served(request):
+    """The rig's registry and the client a gateway fetches it through:
+    itself, or HttpRegistryClient against the registry server."""
+    registry = make_registry()
+    if request.param == "local":
+        yield registry, registry
+        return
+    srv = make_registry_server(registry)
+    threading.Thread(target=srv.serve_forever, kwargs={"poll_interval": 0.02},
+                     daemon=True).start()
+    try:
+        yield registry, HttpRegistryClient(f"http://127.0.0.1:{srv.server_address[1]}")
+    finally:
+        srv.shutdown()
+        srv.server_close()
+
+
+def test_corrupt_layer_fails_the_pull_at_transfer(served, fast_cfg, tmp_path):
+    # registries serve bytes as they are; the gateway checks each layer
+    registry, client = served
+    digest = registry.fetch_manifest(REF.canonical()).layers[1]
+    registry.set_corrupt(digest)
+    clock, tracer = VirtualClock(), Tracer()
+    gw = Gateway(fast_cfg, clock, client, str(tmp_path / "state"), tracer=tracer)
+    try:
+        gw.pull(REF)
+        drive(gw, clock)
+        rec = gw.lookup(REF)
+        assert rec.state is ImageState.FAILED
+        assert rec.last_error.startswith("DigestMismatch: ")
+        [(_, _, _, details)] = tracer.events(event="task_failed")
+        assert "step=transfer" in details and "err=DigestMismatch" in details
+
+        registry.set_corrupt(digest, False)
+        gw.pull(REF)
+        drive(gw, clock)
+        assert gw.lookup(REF).state is ImageState.READY
+    finally:
+        gw.close()
 
 
 @pytest.mark.parametrize("rec", [
@@ -418,6 +480,52 @@ def test_expire_ready_unlinks_archive(rig):
     assert rec.attempts == 1
     drive(gw, clock)
     assert gw.lookup(REF).state is ImageState.READY
+
+
+def test_expire_unlinks_before_a_repull_can_land(rig, monkeypatch):
+    # a second thread re-pulls the reference while expire is inside its
+    # unlink; the unlink must not take the archive of the new READY record
+    gw, clock, _ = rig
+    gw.pull(REF)
+    drive(gw, clock)
+    path = gw.lookup(REF).udi_path
+    real_unlink, real_lock = os.unlink, gw._lock
+    repull_waits_or_done = threading.Event()
+
+    class ReportingLock:
+        """The gateway lock, reporting a thread that has to wait for it."""
+
+        def __enter__(self):
+            if not real_lock.acquire(blocking=False):
+                repull_waits_or_done.set()
+                real_lock.acquire()
+
+        def __exit__(self, *exc):
+            real_lock.release()
+
+    def repull():
+        try:
+            gw.pull(REF)
+            drive(gw, clock)
+        finally:
+            repull_waits_or_done.set()
+
+    repuller = threading.Thread(target=repull, daemon=True)
+
+    def unlink_during_a_repull(target, *args, **kwargs):
+        if target == path and repuller.ident is None:  # once, before it starts
+            repuller.start()
+            assert repull_waits_or_done.wait(timeout=10)
+        return real_unlink(target, *args, **kwargs)
+
+    gw._lock = ReportingLock()
+    monkeypatch.setattr(os, "unlink", unlink_during_a_repull)
+    assert gw.expire(REF).state is ImageState.EXPIRED
+    repuller.join(timeout=10)
+    assert not repuller.is_alive()
+    rec = gw.lookup(REF)
+    assert rec.state is ImageState.READY
+    assert check_udi(rec.udi_path, rec.udi_digest).ok
 
 
 def test_expire_transient_fails_it(rig):

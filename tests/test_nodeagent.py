@@ -120,9 +120,9 @@ def rig(fast_cfg, tmp_path):
 
 def test_mount_happy_path(rig):
     agent, clock, _, desc, cred = rig
-    wait = agent.mount_udi(desc.path, desc.content_digest, cred, "job-1")
+    wait = agent.mount_udi(desc.path, desc.digest, cred, "job-1")
     assert wait == 1.0  # first resolution goes to the backend
-    assert agent.has_mount("job-1", desc.content_digest)
+    assert agent.has_mount("job-1", desc.digest)
     assert agent.mount_count() == 1
 
 
@@ -195,23 +195,23 @@ def test_mount_requires_node_auth(rig):
     agent, _, _, desc, cred = rig
     agent.set_auth_up(False)
     with pytest.raises(AuthServiceDown):
-        agent.mount_udi(desc.path, desc.content_digest, cred, "job-1")
+        agent.mount_udi(desc.path, desc.digest, cred, "job-1")
     agent.set_auth_up(True)
-    agent.mount_udi(desc.path, desc.content_digest, cred, "job-1")
+    agent.mount_udi(desc.path, desc.digest, cred, "job-1")
 
 
 def test_mount_rejects_bad_mac(rig):
     agent, clock, _, desc, _ = rig
     forged = issue_credential(1001, (100, 200), "user", b"wrong-secret", clock.now())
     with pytest.raises(MacMismatch):
-        agent.mount_udi(desc.path, desc.content_digest, forged, "job-1")
+        agent.mount_udi(desc.path, desc.digest, forged, "job-1")
 
 
 def test_mount_rejects_expired_credential(rig, fast_cfg):
     agent, clock, _, desc, cred = rig
     clock.advance(fast_cfg.credential_ttl + 1.0)
     with pytest.raises(CredentialExpired):
-        agent.mount_udi(desc.path, desc.content_digest, cred, "job-1")
+        agent.mount_udi(desc.path, desc.digest, cred, "job-1")
 
 
 def test_mount_rejects_corrupt_archive(rig, tmp_path):
@@ -221,7 +221,7 @@ def test_mount_rejects_corrupt_archive(rig, tmp_path):
     with open(desc.path, "wb") as fh:
         fh.write(bytes(data))
     with pytest.raises(UdiCorrupt):
-        agent.mount_udi(desc.path, desc.content_digest, cred, "job-1")
+        agent.mount_udi(desc.path, desc.digest, cred, "job-1")
     assert agent.mount_count() == 0
 
 
@@ -234,18 +234,18 @@ def test_mount_rejects_descriptor_mismatch(rig):
 
 def test_duplicate_mount_rejected(rig):
     agent, _, _, desc, cred = rig
-    agent.mount_udi(desc.path, desc.content_digest, cred, "job-1")
+    agent.mount_udi(desc.path, desc.digest, cred, "job-1")
     with pytest.raises(AlreadyMounted):
-        agent.mount_udi(desc.path, desc.content_digest, cred, "job-1")
+        agent.mount_udi(desc.path, desc.digest, cred, "job-1")
     # same archive for a different job is a separate mount
-    agent.mount_udi(desc.path, desc.content_digest, cred, "job-2")
-    assert agent.has_mount("job-2", desc.content_digest)
+    agent.mount_udi(desc.path, desc.digest, cred, "job-2")
+    assert agent.has_mount("job-2", desc.digest)
     assert agent.mount_count() == 2
 
 
 def test_unmount_idempotent(rig):
     agent, _, _, desc, cred = rig
-    agent.mount_udi(desc.path, desc.content_digest, cred, "job-1")
+    agent.mount_udi(desc.path, desc.digest, cred, "job-1")
     assert agent.unmount_job("job-1") == 1
     assert agent.unmount_job("job-1") == 0
     assert agent.mount_count() == 0
@@ -256,18 +256,18 @@ def test_unmount_job_clears_only_that_job(rig, tmp_path):
     other = write_udi(payload_tree(b"other"), str(tmp_path / "o.udi"),
                       source_ref="a/c:v1", created_at=0.0)
     agent.tracer = Tracer()
-    agent.mount_udi(desc.path, desc.content_digest, cred, "job-1")
-    agent.mount_udi(other.path, other.content_digest, cred, "job-1")
-    agent.mount_udi(desc.path, desc.content_digest, cred, "job-2")
+    agent.mount_udi(desc.path, desc.digest, cred, "job-1")
+    agent.mount_udi(other.path, other.digest, cred, "job-1")
+    agent.mount_udi(desc.path, desc.digest, cred, "job-2")
     assert agent.unmount_job("job-1") == 2
     # traced in digest order, whatever order the mounts came in
     unmounted = [details for _, _, _, details in agent.tracer.events("unmount")]
     assert unmounted == [f"job=job-1 digest={d[:12]}"
-                         for d in sorted((desc.content_digest, other.content_digest))]
+                         for d in sorted((desc.digest, other.digest))]
     assert agent.mount_count() == 1
-    assert agent.has_mount("job-2", desc.content_digest)
-    assert not agent.has_mount("job-1", desc.content_digest)
-    assert not agent.has_mount("job-1", other.content_digest)
+    assert agent.has_mount("job-2", desc.digest)
+    assert not agent.has_mount("job-1", desc.digest)
+    assert not agent.has_mount("job-1", other.digest)
 
 
 def test_mount_opens_archive_once(rig, monkeypatch):
@@ -284,9 +284,9 @@ def test_mount_opens_archive_once(rig, monkeypatch):
     monkeypatch.setattr(udigate.nodeagent, "check_udi", counting_check)
     monkeypatch.setattr(udigate.nodeagent, "verify_udi", no_walk)
     monkeypatch.setattr(udigate.nodeagent, "scan_udi", no_walk)
-    agent.mount_udi(desc.path, desc.content_digest, cred, "job-1")
-    agent.mount_udi(desc.path, desc.content_digest, cred, "job-2")
-    assert calls == [(desc.path, desc.content_digest)] * 2
+    agent.mount_udi(desc.path, desc.digest, cred, "job-1")
+    agent.mount_udi(desc.path, desc.digest, cred, "job-2")
+    assert calls == [(desc.path, desc.digest)] * 2
 
 
 @pytest.mark.parametrize("where", ["body", "trailer"])
@@ -295,7 +295,7 @@ def test_no_mount_trusts_an_earlier_mount(rig, where):
     # (and node 0 again, for another job) must hash the file afresh
     agent, clock, identity, desc, cred = rig
     other = NodeAgent(8, clock, agent.verifier, identity, agent.config)
-    agent.mount_udi(desc.path, desc.content_digest, cred, "job-1")
+    agent.mount_udi(desc.path, desc.digest, cred, "job-1")
     data = bytearray(open(desc.path, "rb").read())
     pos = len(data) // 2 if where == "body" else len(data) - 5
     data[pos] ^= 0x01
@@ -303,7 +303,7 @@ def test_no_mount_trusts_an_earlier_mount(rig, where):
         fh.write(bytes(data))
     for node, job in ((other, "job-1"), (agent, "job-2")):
         with pytest.raises(UdiCorrupt) as exc_info:
-            node.mount_udi(desc.path, desc.content_digest, cred, job)
+            node.mount_udi(desc.path, desc.digest, cred, job)
         assert exc_info.value.reason == "checksum"
     assert other.mount_count() == 0
     assert agent.mount_count() == 1
@@ -317,6 +317,6 @@ def test_mount_refuses_resized_archive(rig, change):
     with open(desc.path, "wb") as fh:
         fh.write(changed)
     with pytest.raises(UdiCorrupt):
-        agent.mount_udi(desc.path, desc.content_digest, cred, "job-1")
+        agent.mount_udi(desc.path, desc.digest, cred, "job-1")
     assert agent.mount_count() == 0
 

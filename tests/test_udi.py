@@ -50,8 +50,8 @@ def test_descriptor_fields(tmp_path):
     assert desc.size_bytes == os.path.getsize(desc.path)
     with open(desc.path, "rb") as fh:
         data = fh.read()
-    assert desc.content_digest == data[-TRAILER_LEN:].hex()
-    assert bytes.fromhex(desc.content_digest) == hashlib.sha256(data[:-TRAILER_LEN]).digest()
+    assert desc.digest == data[-TRAILER_LEN:].hex()
+    assert bytes.fromhex(desc.digest) == hashlib.sha256(data[:-TRAILER_LEN]).digest()
 
 
 def test_site_mods_from_a_generator(tmp_path):
@@ -64,14 +64,14 @@ def test_site_mods_from_a_generator(tmp_path):
 def test_identical_inputs_identical_bytes(tmp_path):
     d1 = _write(tiny_tree(), tmp_path / "a.udi")
     d2 = _write(tiny_tree(), tmp_path / "b.udi")
-    assert d1.content_digest == d2.content_digest
+    assert d1.digest == d2.digest
     assert open(d1.path, "rb").read() == open(d2.path, "rb").read()
 
 
 def test_metadata_changes_digest(tmp_path):
     d1 = _write(tiny_tree(), tmp_path / "a.udi", created=1.0)
     d2 = _write(tiny_tree(), tmp_path / "b.udi", created=2.0)
-    assert d1.content_digest != d2.content_digest
+    assert d1.digest != d2.digest
 
 
 def test_empty_tree_roundtrip(tmp_path):
@@ -196,7 +196,7 @@ def test_open_udi_path_and_bytes_agree(tmp_path):
     assert pdesc == desc
     assert bdesc == dataclasses.replace(desc, path="")
     assert bentries == pentries
-    assert verify_udi(desc.path) == UdiCheck(True, digest=desc.content_digest)
+    assert verify_udi(desc.path) == UdiCheck(True, digest=desc.digest)
 
 
 def _straddling_archive(tmp_path):
@@ -222,7 +222,7 @@ def test_window_straddling_header_verifies_and_flips_are_caught(tmp_path):
     assert desc.size_bytes > 2 * _WINDOW
     check = verify_udi(desc.path)
     assert check.ok, check
-    assert check.digest == desc.content_digest
+    assert check.digest == desc.digest
     data = open(desc.path, "rb").read()
     fdesc, fentries = open_udi(desc.path)
     bdesc, bentries = open_udi(data)
@@ -268,7 +268,7 @@ def test_short_files_are_truncated_not_raised(tmp_path):
 
 def test_check_udi_accepts_only_the_expected_digest(tmp_path):
     desc = _write(payload_tree(), tmp_path / "a.udi")
-    assert check_udi(desc.path, desc.content_digest) == UdiCheck(True, digest=desc.content_digest)
+    assert check_udi(desc.path, desc.digest) == UdiCheck(True, digest=desc.digest)
     with pytest.raises(UdiCorrupt) as exc_info:
         check_udi(desc.path, "0" * 64)
     assert exc_info.value.reason == "descriptor mismatch"
@@ -276,7 +276,7 @@ def test_check_udi_accepts_only_the_expected_digest(tmp_path):
     other = _write(payload_tree(b"other"), tmp_path / "b.udi")
     os.replace(other.path, desc.path)
     with pytest.raises(UdiCorrupt) as exc_info:
-        check_udi(desc.path, desc.content_digest)
+        check_udi(desc.path, desc.digest)
     assert exc_info.value.reason == "descriptor mismatch"
 
 
@@ -314,7 +314,7 @@ def test_check_udi_hashes_every_byte_in_bounded_reads(tmp_path, monkeypatch):
     for window in (1, 31, 32, 33, 64, n - 33, n - 32, n - 31, n, n + 1):
         monkeypatch.setattr(udigate.udi, "_WINDOW", window)
         reads.clear()
-        assert check_udi(desc.path, desc.content_digest).ok
+        assert check_udi(desc.path, desc.digest).ok
         sizes = [got for _, got in reads]
         assert sum(sizes) == n and max(sizes) <= max(window, TRAILER_LEN)
         for pos in range(n):
@@ -323,7 +323,7 @@ def test_check_udi_hashes_every_byte_in_bounded_reads(tmp_path, monkeypatch):
             with open(desc.path, "wb") as fh:
                 fh.write(flipped)
             with pytest.raises(UdiCorrupt) as exc_info:
-                check_udi(desc.path, desc.content_digest)
+                check_udi(desc.path, desc.digest)
             assert exc_info.value.reason == "checksum", (window, pos)
         with open(desc.path, "wb") as fh:
             fh.write(data)
@@ -332,7 +332,7 @@ def test_check_udi_hashes_every_byte_in_bounded_reads(tmp_path, monkeypatch):
 def test_small_archive_is_one_read_of_its_size(tmp_path, monkeypatch):
     desc = _write(payload_tree(), tmp_path / "a.udi")
     reads = _reads(monkeypatch)
-    for read in (lambda p: check_udi(p, desc.content_digest), verify_udi, open_udi):
+    for read in (lambda p: check_udi(p, desc.digest), verify_udi, open_udi):
         reads.clear()
         read(desc.path)
         assert reads == [(desc.size_bytes, desc.size_bytes)]
@@ -350,9 +350,9 @@ def test_unreadable_file_is_io_for_every_reader(tmp_path):
 def test_check_udi_refuses_resized_large_archive(tmp_path):
     desc, _ = _straddling_archive(tmp_path)
     data = open(desc.path, "rb").read()
-    assert check_udi(desc.path, desc.content_digest).ok
+    assert check_udi(desc.path, desc.digest).ok
     for changed in (data[:_WINDOW + 1], data[:-1], data + b"\x00", data + data[-TRAILER_LEN:]):
         with open(desc.path, "wb") as fh:
             fh.write(changed)
         with pytest.raises(UdiCorrupt):
-            check_udi(desc.path, desc.content_digest)
+            check_udi(desc.path, desc.digest)
