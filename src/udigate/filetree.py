@@ -11,33 +11,28 @@ real filesystem does (the property tests check exactly that):
   * an entry named ``.wh.<name>`` removes ``<name>`` and its subtree from the
     result before the rest of its layer applies, and is not itself kept
   * an opaque marker ``<dir>/.wh..wh..opq`` (OCI image-layer spec) removes
-    everything below ``<dir>`` that came from lower layers, in the same pass
-    as the layer's other whiteouts; ``<dir>`` itself is kept or created as a
-    dir, as for any entry's parents, a marker at ``/`` clears the whole lower
-    tree, and the marker is not itself kept
+    everything below ``<dir>`` that came from lower layers; ``<dir>`` itself
+    is kept or created as a dir, as for any entry's parents, a marker at
+    ``/`` clears the whole lower tree, and the marker is not itself kept.
+    Whiteouts and markers apply in path order, so one that sorts after a
+    marker also removes the dirs that marker made
   * a dir entry over an existing dir updates the mode and keeps children
   * any other kind change (file over dir, dir over file, symlink over
     anything) removes the old subtree first
   * missing parents are created as dirs (mode 0o755); a parent that exists
     as a non-dir is replaced by a dir
 
-A tree keeps its paths in a sorted list beside the entry map, built by the
-first ordered read or subtree removal. Removals keep it in step; a new path
-drops it until the next such read, so the index is exact or absent and no
-insert shifts it (O(n) apiece). A rebuild is one ``sorted()`` over a dict
-whose order is already a few sorted runs. A path's subtree is one contiguous
-run of the list, so removing it costs O(log n + subtree) rather than a scan
-of all n entries. Flatten replaces an entry in place, dropping only what lies
-below it, so a replacement adds no path; and since making an entry's parents
-dirs replaces non-dir ancestors, a non-dir in a flatten result has nothing
-below it and replacing one is a plain overwrite. A layer's removals run
-before its inserts (bar an opaque marker's new dir), so one build serves all.
+A tree is a plain dict; ordered reads sort it. ``apply_layer`` reads its
+layer in path order and gathers what it removes: whiteout victims, and dirs
+whose contents go (an opaque marker's, or one that a non-dir replaces). One
+pass over the result then drops each victim and each path with a gathered
+ancestor, so a layer's removals cost O(entries x depth) whatever it holds.
 
 Paths and entries are checked at two gates, once each: ``tree_from_blob``
 for registry bytes, and ``FileTree.set_entry`` for everything else. Both run
 ``normalize_path`` and ``_check_entry``. Trees built through a gate are
-trusted from then on: ``tree_from_blob`` and ``flatten`` insert through
-``FileTree._put``, which neither normalizes nor re-checks, since a gated
+trusted from then on: ``tree_from_blob`` and ``flatten`` write straight
+into the entry dict, neither normalizing nor re-checking, since a gated
 layer's paths and their parents are already normal and its entries already
 checked.
 """
@@ -48,7 +43,6 @@ import hashlib
 import json
 import posixpath
 from binascii import a2b_base64
-from bisect import bisect_left
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -134,28 +128,15 @@ class FileTree:
 
     def __init__(self, entries: Optional[dict[str, TreeEntry]] = None):
         self._entries: dict[str, TreeEntry] = {}
-        self._keys: Optional[list[str]] = None  # sorted paths, or None until next needed
         if entries:
             for p, e in entries.items():
                 self.set_entry(p, e)
-
-    def _sorted_keys(self) -> list[str]:
-        if self._keys is None:
-            self._keys = sorted(self._entries)
-        return self._keys
 
     def set_entry(self, path: str, entry: TreeEntry) -> None:
         """Validating insert, the gate for entries that do not come from a
         layer blob."""
         path = normalize_path(path)
-        self._put(path, _check_entry(path, entry))
-
-    def _put(self, path: str, entry: TreeEntry) -> None:
-        """Insert a path and entry that have already passed a gate. A new
-        path drops the sorted index rather than shifting it."""
-        if self._keys is not None and path not in self._entries:
-            self._keys = None
-        self._entries[path] = entry
+        self._entries[path] = _check_entry(path, entry)
 
     def add_file(self, path: str, content: bytes = b"", mode: int = DEFAULT_FILE_MODE) -> None:
         self.set_entry(path, TreeEntry(KIND_FILE, mode, content))
@@ -179,45 +160,26 @@ class FileTree:
         return isinstance(other, FileTree) and self._entries == other._entries
 
     def paths(self) -> list[str]:
-        return list(self._sorted_keys())
+        return sorted(self._entries)
 
     def items(self) -> Iterator[tuple[str, TreeEntry]]:
         entries = self._entries
-        for p in self._sorted_keys():
+        for p in sorted(entries):
             yield p, entries[p]
 
     def copy(self) -> "FileTree":
         t = FileTree()
         t._entries = dict(self._entries)
-        t._keys = None if self._keys is None else list(self._keys)
         return t
 
-    def clear(self) -> None:
-        self._entries.clear()
-        self._keys = None
-
     def remove_subtree(self, path: str) -> int:
-        """Drop path and everything under it. Returns entries removed."""
+        """Drop path and everything under it, by a scan. Returns entries removed."""
         path = normalize_path(path)
-        removed = self._remove_below(path)
-        if self._entries.pop(path, None) is not None:
-            keys = self._keys
-            del keys[bisect_left(keys, path)]
-            removed += 1
-        return removed
-
-    def _remove_below(self, path: str) -> int:
-        """Drop everything under a normalized path and keep the path, so
-        that replacing its entry next does not add a new path."""
-        keys = self._sorted_keys()
-        # Below path sorts from path + "/" up to path + "0" ("0" follows "/");
-        # siblings such as path + "-b" sort before that run and are kept.
-        lo = bisect_left(keys, path + "/")
-        hi = bisect_left(keys, path + "0", lo)
-        for p in keys[lo:hi]:
+        below = path + "/"
+        doomed = [p for p in self._entries if p == path or p.startswith(below)]
+        for p in doomed:
             del self._entries[p]
-        del keys[lo:hi]
-        return hi - lo
+        return len(doomed)
 
     def validate(self) -> None:
         """Check parent-kind consistency: a present ancestor must be a dir."""
@@ -287,7 +249,7 @@ def tree_from_blob(data: bytes) -> FileTree:
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedLayer(f"bad entry at {path!r}: {exc}") from exc
         normalize_path(path)
-        tree._put(path, _check_entry(path, TreeEntry(kind, mode, content, target)))
+        tree._entries[path] = _check_entry(path, TreeEntry(kind, mode, content, target))
     return tree
 
 
@@ -306,53 +268,90 @@ def _ensure_parent_dirs(result: FileTree, path: str) -> None:
         parent = path[:end]
         ent = entries.get(parent)
         if ent is None or ent.kind != KIND_DIR:
-            result._put(parent, _DEFAULT_DIR)
+            entries[parent] = _DEFAULT_DIR
         end = path.find("/", end + 1)
 
 
-def _make_opaque(result: FileTree, marker: str, parent: str) -> None:
-    """Hide every lower entry below the marker's parent dir ("" for /),
-    which stays a dir; a marker at / clears the whole tree."""
-    if not parent:
-        result.clear()
+def _standing_dirs(marker: str, pos: int, gone: dict, emptied: dict, layer: dict) -> Iterator[str]:
+    """The dirs from the top down to an opaque marker's dir that the marker,
+    at position pos in its layer, leaves standing. A whiteout that sorts
+    after it removes a dir and all below it; a marker that sorts after it,
+    or a non-dir in the layer, removes all below a dir."""
+    if emptied.get("", -1) > pos:
         return
-    existing = result._entries.get(parent)
-    if existing is not None and existing.kind == KIND_DIR:
-        result._remove_below(parent)
-    else:  # nothing lies below a missing or non-dir parent
-        _ensure_parent_dirs(result, marker)
+    end = marker.find("/", 1)
+    while end != -1:
+        d = marker[:end]
+        if gone.get(d, -1) > pos:
+            return
+        yield d
+        ent = layer.get(d)
+        if emptied.get(d, -1) > pos or ent is not None and ent.kind != KIND_DIR:
+            return
+        end = marker.find("/", end + 1)
+
+
+def _drop_covered(entries: dict, gone: dict, emptied: dict) -> None:
+    """A layer's one removal pass: drop every path below a whiteout victim
+    or an emptied dir, then the victims. A path's parent and its ancestors
+    are looked up once per run of paths that share the parent."""
+    covers = gone.keys() | emptied.keys()
+    doomed = []
+    parent, hit = None, False
+    for path in entries:
+        up = path.rpartition("/")[0]
+        if up != parent:
+            parent, hit, end = up, False, len(up)
+            while end > 0 and not hit:
+                hit = up[:end] in covers
+                end = up.rfind("/", 0, end)
+        if hit:
+            doomed.append(path)
+    for path in doomed:
+        del entries[path]
+    for victim in gone:
+        entries.pop(victim, None)
 
 
 def apply_layer(result: FileTree, layer: FileTree) -> None:
-    """Apply one gated layer: its whiteouts first, then its other entries,
-    each in path order. An entry's parents are made dirs only when its
-    parent differs from the previous entry's: entries that share a parent
-    are consecutive, and replacing one of them never touches the parent."""
-    plain = []
-    for path, entry in layer.items():
+    """Apply one gated layer: gather what it removes, drop all of that in one
+    pass, then make its markers' dirs and insert its other entries. An
+    entry's parents are made dirs only when its parent differs from the
+    previous entry's: entries that share a parent are consecutive, and
+    replacing one of them never touches the parent."""
+    entries, above = result._entries, layer._entries
+    gone: dict[str, int] = {}  # whiteout victim -> the whiteout's position in the layer
+    emptied: dict[str, int] = {}  # dir whose lower contents go ("" for /) -> position
+    markers, plain = [], []
+    for pos, (path, entry) in enumerate(layer.items()):
         parent, _, name = path.rpartition("/")
         if not name.startswith(WHITEOUT_PREFIX):
             plain.append((path, parent, entry))
         elif name == OPAQUE_WHITEOUT:
-            _make_opaque(result, path, parent)
-        else:
-            victim = name[len(WHITEOUT_PREFIX):]
-            if not victim:
-                raise MalformedLayer(f"whiteout with empty target: {path}")
-            result.remove_subtree(f"{parent}/{victim}")
-    entries = result._entries
-    # a non-dir over a dir drops its subtree, before any insert drops the
-    # index; no path inserted earlier in this pass could lie below it
-    for path, _, entry in plain:
-        existing = entries.get(path)
-        if existing is not None and existing.kind == KIND_DIR != entry.kind:
-            result._remove_below(path)
+            emptied[parent] = pos
+            markers.append((path, pos))
+        else:  # normalizing rejects an empty, "." or ".." victim
+            gone[normalize_path(f"{parent}/{name[len(WHITEOUT_PREFIX):]}")] = pos
+    standing = [d for marker, pos in markers
+                for d in _standing_dirs(marker, pos, gone, emptied, above)]
+    for path, _, entry in plain:  # a non-dir over a lower dir empties it, after every marker
+        old = entries.get(path)
+        if old is not None and old.kind == KIND_DIR != entry.kind:
+            emptied[path] = len(above)
+    if "" in emptied:
+        entries.clear()
+    elif gone or emptied:
+        _drop_covered(entries, gone, emptied)
+    for d in standing:
+        ent = entries.get(d)
+        if ent is None or ent.kind != KIND_DIR:
+            entries[d] = _DEFAULT_DIR
     confirmed = None  # the parent made a dir for the previous entry
     for path, parent, entry in plain:
         if parent != confirmed:
             _ensure_parent_dirs(result, path)
             confirmed = parent
-        result._put(path, entry)  # dir over dir refreshes the mode, children survive
+        entries[path] = entry  # dir over dir refreshes the mode, children survive
 
 
 def flatten(layers: Iterable[FileTree]) -> FileTree:

@@ -245,7 +245,11 @@ class HttpRegistryClient:
 
     def fetch_manifest(self, canonical: str) -> Manifest:
         quoted = urllib.parse.quote(canonical, safe=":/")
-        doc = json.loads(self._get(f"/registry/{quoted}/manifest.json"))
+        body = self._get(f"/registry/{quoted}/manifest.json")
+        try:
+            doc = json.loads(body)
+        except ValueError as exc:  # a proxy's HTML error page, say
+            raise RegistryIoError(f"manifest is not JSON: {exc}") from exc
         return Manifest.from_json_dict(doc)
 
     def transfer_tick(self, digest: str, fraction: float) -> None:

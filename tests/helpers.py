@@ -17,6 +17,9 @@ from udigate.filetree import (
 from udigate.store import RecordLog
 
 NAME_POOL = ["a", "b", "c", "d", "e", "f"]
+# names that sort before "." and "/", so a whiteout or marker can sort after
+# an opaque marker below the same dir
+EDGE_NAME_POOL = NAME_POOL + ["-d", ".d", " d"]
 OPAQUE_MARKER = ".wh..wh..opq"  # OCI: hide the lower contents of this dir
 FILE_MODES = [0o644, 0o600, 0o755, 0o640]
 DIR_MODES = [0o755, 0o750, 0o700, 0o775]
@@ -63,15 +66,15 @@ def _safe_add(tree: FileTree, path: str, kind: str, rng) -> None:
         tree.add_symlink(path, rng.choice(NAME_POOL))
 
 
-def random_layer(rng, max_entries: int = 8) -> FileTree:
+def random_layer(rng, max_entries: int = 8, names=NAME_POOL) -> FileTree:
     t = FileTree()
     for _ in range(rng.randrange(1, max_entries + 1)):
         depth = rng.randrange(1, 4)
-        parts = [rng.choice(NAME_POOL) for _ in range(depth)]
+        parts = [rng.choice(names) for _ in range(depth)]
         if rng.random() < 0.25:
             # the name "a" turns into an opaque marker, so the draws (and
             # every later stack from the same seed) stay as they were
-            victim = rng.choice(NAME_POOL)
+            victim = rng.choice(names)
             parts[-1] = OPAQUE_MARKER if victim == "a" else WHITEOUT_PREFIX + victim
             path = "/" + "/".join(parts)
             parent = posixpath.dirname(path)
@@ -90,8 +93,9 @@ def random_layer(rng, max_entries: int = 8) -> FileTree:
     return t
 
 
-def random_stack(rng, max_layers: int = 5, max_entries: int = 8) -> list[FileTree]:
-    return [random_layer(rng, max_entries) for _ in range(rng.randrange(1, max_layers + 1))]
+def random_stack(rng, max_layers: int = 5, max_entries: int = 8,
+                 names=NAME_POOL) -> list[FileTree]:
+    return [random_layer(rng, max_entries, names) for _ in range(rng.randrange(1, max_layers + 1))]
 
 
 # -- the on-disk oracle -------------------------------------------------------------

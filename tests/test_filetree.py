@@ -14,7 +14,8 @@ import time
 
 import pytest
 
-from helpers import materialize_stack, random_stack, read_back_tree, tiny_tree
+from helpers import EDGE_NAME_POOL, materialize_stack, random_stack, read_back_tree, tiny_tree
+from udigate import filetree
 from udigate.errors import EmptyLayerList, MalformedLayer, ModConflict
 from udigate.filetree import (
     DEFAULT_DIR_MODE,
@@ -329,16 +330,58 @@ def test_flatten_result_validates():
         flat.validate()
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_flatten_matches_filesystem_oracle(seed, tmp_path):
-    rng = random.Random(1000 + seed)
+def _check_against_filesystem(rng, tmp_path, **stack_args):
     for i in range(25):
-        layers = random_stack(rng)
+        layers = random_stack(rng, **stack_args)
         root = tmp_path / f"stage-{i}"
         root.mkdir()
         materialize_stack(layers, str(root))
         oracle = read_back_tree(str(root))
         assert tree_to_blob(flatten(layers)) == tree_to_blob(oracle)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_flatten_matches_filesystem_oracle(seed, tmp_path):
+    _check_against_filesystem(random.Random(1000 + seed), tmp_path)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_flatten_matches_filesystem_oracle_with_names_before_dot(seed, tmp_path):
+    # "-d", ".d" and " d" sort before "." and "/", so a whiteout or marker
+    # can sort after an opaque marker below it and remove the dir it made
+    _check_against_filesystem(random.Random(9000 + seed), tmp_path, names=EDGE_NAME_POOL)
+
+
+@pytest.mark.parametrize("later", [f"/{WHITEOUT_PREFIX}-d", f"/{OPAQUE_WHITEOUT}"],
+                         ids=["whiteout", "root-marker"])
+def test_flatten_removal_after_a_marker_removes_its_dir(later, tmp_path):
+    lower, upper = FileTree(), FileTree()
+    lower.add_file("/-d/old")
+    upper.add_file(f"/-d/{OPAQUE_WHITEOUT}")
+    upper.add_file(later)
+    assert upper.paths()[-1] == later  # it sorts after the marker
+    materialize_stack([lower, upper], str(tmp_path))
+    assert read_back_tree(str(tmp_path)) == FileTree()
+    assert flatten([lower, upper]) == FileTree()
+
+
+def test_flatten_removal_after_a_marker_keeps_the_dirs_above():
+    lower, upper = FileTree(), FileTree()
+    lower.add_file("/p", b"a file, made a dir by the marker")
+    upper.add_file(f"/p/-d/{OPAQUE_WHITEOUT}")
+    upper.add_file(f"/p/{WHITEOUT_PREFIX}-d")
+    flat = flatten([lower, upper])
+    assert flat.paths() == ["/p"]
+    assert flat.get("/p").kind == "dir"
+
+
+@pytest.mark.parametrize("victim", ["", ".", ".."], ids=["empty", "dot", "dotdot"])
+def test_flatten_rejects_dot_whiteout_victims(victim):
+    lower, upper = FileTree(), FileTree()
+    lower.add_file("/d/x")
+    upper.add_file(f"/d/{WHITEOUT_PREFIX}{victim}")
+    with pytest.raises(MalformedLayer):
+        flatten([lower, upper])
 
 
 # -- the parent memo -----------------------------------------------------------------
@@ -399,14 +442,17 @@ def test_flatten_parent_memo_matches_dict_reference(name):
         assert parent == "/" or flat.get(parent).kind == "dir", path
 
 
-# -- the sorted path index ----------------------------------------------------------
+# -- the dict oracle ----------------------------------------------------------------
 #
-# FileTree keeps a sorted key list beside its entry map. These tests replay
-# random operations against plain dicts whose removals scan every key, so a
-# stale or misordered index shows as a wrong count, entry or order.
+# These tests replay random inserts, subtree removals, copies and flattens
+# against plain dicts whose removals scan every key and whose flatten applies
+# each whiteout and marker on its own, so a removal pass that drops too much
+# or too little, or a read out of path order, shows as a wrong count, entry
+# or order.
 
 # "-", ".", " " sort before "/" and "0" right after it, so these names sit on
-# both sides of every subtree's run in the sorted key list
+# both sides of every subtree in path order and share its prefix without
+# lying below it
 INDEX_SEGMENTS = ["a", "a-b", "a.c", "a 1", "a0", "ab", "x"]
 
 
@@ -485,9 +531,9 @@ def _upper_layer(rng, oracle):
 
 
 def _replacing_layer(rng, oracle):
-    """A whiteout, which builds the index, then new paths that sort just
-    before existing files, each followed by a file or symlink over that
-    file."""
+    """A whiteout, which makes the layer run a removal pass, then new paths
+    that sort just before existing files, each followed by a file or
+    symlink over that file."""
     layer = {f"/{WHITEOUT_PREFIX}{rng.choice(INDEX_SEGMENTS)}": TreeEntry("file", 0o644)}
     files = sorted(p for p, e in oracle.items() if e.kind == "file")
     for path in rng.sample(files, min(len(files), 3)):
@@ -609,8 +655,9 @@ def test_flatten_time_does_not_grow_with_new_paths_after_a_whiteout():
     whiteout = plain.copy()
     whiteout.add_file(f"/d000/{WHITEOUT_PREFIX}f000")
     assert len(flatten([base, plain])) - len(flatten([base, whiteout])) == 1
-    # the whiteout builds the sorted index; shifting it for every new path
-    # after that makes this ratio grow with the base's size
+    # the whiteout costs one removal pass over the result; work per new path
+    # that scanned or shifted the result would make this ratio grow with
+    # the base's size
     assert _best_flatten([base, whiteout]) < 2 * _best_flatten([base, plain])
 
 
@@ -622,22 +669,27 @@ def _hide_250_subs():
     return whiteouts
 
 
-def _index_builds(monkeypatch, layers):
-    """Sorted-index builds (a _sorted_keys call that finds no index) over
-    every tree while flatten(layers) runs: at most one per layer and one
-    for the result, whatever the layers hold."""
-    builds = []
-    sorted_keys = FileTree._sorted_keys
+def _removal_passes(monkeypatch, layers):
+    """Removal passes over the result for each layer while flatten(layers)
+    runs. A pass looks at every entry, so a layer must run at most two,
+    whatever it holds."""
+    passes = []
+    apply_layer, drop_covered = filetree.apply_layer, filetree._drop_covered
 
-    def counting(tree):
-        if tree._keys is None:
-            builds.append(tree)
-        return sorted_keys(tree)
+    def counting_apply(result, layer):
+        passes.append(0)
+        apply_layer(result, layer)
+
+    def counting_drop(*args):
+        passes[-1] += 1
+        drop_covered(*args)
 
     with monkeypatch.context() as m:
-        m.setattr(FileTree, "_sorted_keys", counting)
+        m.setattr(filetree, "apply_layer", counting_apply)
+        m.setattr(filetree, "_drop_covered", counting_drop)
         flatten(layers)
-    return len(builds)
+    assert len(passes) == len(layers)
+    return max(passes)
 
 
 def test_flatten_time_does_not_grow_with_opaque_markers(monkeypatch):
@@ -645,9 +697,8 @@ def test_flatten_time_does_not_grow_with_opaque_markers(monkeypatch):
     for d in range(250):  # both hide the same 250 entries
         opaque.add_file(f"/d{d:03}/sub/{OPAQUE_WHITEOUT}")
     assert flatten([base, whiteouts]) == flatten([base, opaque])
-    # an opaque marker keeps its dir; dropping and re-adding the dir's path
-    # would rebuild the sorted index once per marker
-    assert _index_builds(monkeypatch, [base, opaque]) <= 3
+    # one removal pass per marker would scan the whole result 250 times
+    assert _removal_passes(monkeypatch, [base, opaque]) <= 2
 
 
 def test_flatten_time_does_not_grow_with_dirs_replaced_after_new_paths(monkeypatch):
@@ -656,9 +707,8 @@ def test_flatten_time_does_not_grow_with_dirs_replaced_after_new_paths(monkeypat
         replacing.add_file(f"/d{d:03}/sua")  # new, and sorts just before sub
         replacing.add_file(f"/d{d:03}/sub")  # a file over the dir sub/
     assert len(flatten([base, replacing])) == len(flatten([base, whiteouts])) + 250
-    # removing what lies below each sub/ after inserting the path before it
-    # would rebuild the sorted index once per dir
-    assert _index_builds(monkeypatch, [base, replacing]) <= 3
+    # one removal pass per replaced dir would scan the whole result 250 times
+    assert _removal_passes(monkeypatch, [base, replacing]) <= 2
 
 
 def test_flatten_time_does_not_grow_with_opaque_markers_in_new_dirs(monkeypatch):
@@ -666,9 +716,9 @@ def test_flatten_time_does_not_grow_with_opaque_markers_in_new_dirs(monkeypatch)
     for d in range(250):
         opaque.add_file(f"/d{d:03}/new/{OPAQUE_WHITEOUT}")
     assert len(flatten([base, opaque])) == len(flatten([base, whiteouts])) + 500
-    # a new dir has nothing below it; removing below it right after
-    # inserting it would rebuild the sorted index once per marker
-    assert _index_builds(monkeypatch, [base, opaque]) <= 3
+    # a new dir has nothing below it; one removal pass per marker would
+    # still scan the whole result 250 times
+    assert _removal_passes(monkeypatch, [base, opaque]) <= 2
 
 
 # -- site modification ------------------------------------------------------------

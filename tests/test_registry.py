@@ -5,7 +5,7 @@ import pytest
 from helpers import payload_tree, tiny_tree
 from udigate.errors import DigestMismatch, RegistryIoError, RegistryUnknownImage
 from udigate.filetree import blob_digest, tree_to_blob
-from udigate.registry import LocalRegistry, Manifest, SilentAbort
+from udigate.registry import HttpRegistryClient, LocalRegistry, Manifest, SilentAbort
 
 
 @pytest.fixture
@@ -102,3 +102,14 @@ def test_load_dir_rejects_corrupt_blob(reg, tmp_path):
 def test_load_missing_root():
     with pytest.raises(RegistryIoError):
         LocalRegistry.load_from_dir("/no/such/dir")
+
+
+@pytest.mark.parametrize("body", [b"<html>502 Bad Gateway</html>", b"", b"\xff\xfe{"],
+                         ids=["html", "empty", "not-utf8"])
+def test_http_manifest_that_is_not_json_is_a_registry_io_error(monkeypatch, body):
+    # a non-JSON body must fail the pull as a registry error, not escape as
+    # a JSONDecodeError that the worker reports as unexpected
+    client = HttpRegistryClient("http://registry.invalid")
+    monkeypatch.setattr(client, "_get", lambda path: body)
+    with pytest.raises(RegistryIoError, match="not JSON"):
+        client.fetch_manifest("team/app:v1")
