@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import logging
 import math
 import os
@@ -128,8 +129,8 @@ class ImageRecord:
     def from_store_dict(cls, doc: dict) -> "ImageRecord":
         """Raises KeyError for a missing field or an unknown state and
         ValueError for a field of the wrong type; lease_id and udi_digest
-        may be missing. Replay calls this once per put, thousands of times
-        per restart, so the checks are one pass of type() lookups."""
+        may be missing. Replay calls this once per live key, thousands of
+        times per restart, so the checks are one pass of type() lookups."""
         values = (doc["system"], doc["repository"], doc["name"], doc["tag"], doc["state"],
                   doc["content_digest"], doc["udi_path"], doc.get("udi_digest", ""),
                   doc["last_error"], doc.get("lease_id", ""), doc["size_bytes"], doc["attempts"])
@@ -180,21 +181,24 @@ class Gateway:
         os.makedirs(self.udi_dir, exist_ok=True)
         from .store import RecordLog, load_entries
         self._log = RecordLog(os.path.join(state_dir, "records.log"))
-        entries, skipped = load_entries(self._log.path)
-        for entry in entries:
-            try:  # an entry replay cannot use is skipped like an undecodable frame
-                if entry["op"] == "delete":
-                    self._records.pop(entry["key"], None)
-                elif entry["op"] == "put":
-                    rec = ImageRecord.from_store_dict(entry["record"])
-                    if entry["key"] != rec.ref.key():
-                        raise ValueError(f"put under {entry['key']!r} of {rec.ref.key()!r}")
-                    self._records[entry["key"]] = rec
-                else:
-                    raise ValueError(f"unknown op {entry['op']!r}")
-            except (KeyError, TypeError, ValueError) as exc:
-                skipped += 1
-                log.warning("record log %s: unusable entry skipped (%r)", self._log.path, exc)
+        groups, skipped = load_entries(self._log.path)
+        for key, payloads in groups.items():
+            for payload in reversed(payloads):  # the newest usable entry decides the key
+                try:  # an entry replay cannot use is skipped, and the next older one tried
+                    entry = json.loads(payload.decode("utf-8"))
+                    if entry["key"] != key:
+                        raise ValueError(f"entry for {entry['key']!r} grouped under {key!r}")
+                    if entry["op"] == "put":
+                        rec = ImageRecord.from_store_dict(entry["record"])
+                        if key != rec.ref.key():
+                            raise ValueError(f"put under {key!r} of {rec.ref.key()!r}")
+                        self._records[key] = rec
+                    elif entry["op"] != "delete":
+                        raise ValueError(f"unknown op {entry['op']!r}")
+                    break
+                except (KeyError, TypeError, ValueError) as exc:
+                    skipped += 1
+                    log.warning("record log %s: unusable entry skipped (%r)", self._log.path, exc)
         if skipped:
             log.warning("record log: skipped %d unreadable entries", skipped)
 

@@ -79,7 +79,10 @@ class GatewayRuntime:
                     pass
             except Exception as exc:
                 log.exception("unexpected worker error for %s", task.ref.canonical())
-                self.gateway.fail_task(task, exc)
+                try:
+                    self.gateway.fail_task(task, exc)
+                except Exception:  # a log append that fails must not end the worker
+                    log.exception("could not fail the record of %s", task.ref.canonical())
             finally:
                 self._queue.task_done()
 

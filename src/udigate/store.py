@@ -10,18 +10,23 @@ Load semantics are deliberately asymmetric:
 
   * a complete frame whose crc does not match is SKIPPED with a warning,
     one rotted entry must not take the whole store down; so is one whose
-    crc matches but whose payload is not JSON, and the gateway's replay
-    skips and counts likewise an entry it cannot use (no key, an unknown
-    op, a record with a missing field or an unknown state)
+    crc matches but that names no key (not JSON, no "key"), and the
+    gateway's replay skips and counts likewise an entry it cannot use
   * a frame cut off mid-way (torn header or short payload) raises
     PersistenceCorrupt, a truncated tail means the file is not trustworthy
     and the service must refuse to serve from it
+
+Loading groups payloads by the key in the ``{"key":"<key>","op":"<op>"``
+prefix that append writes, decoding only a frame without it. Replay decodes
+a key's frames newest first up to the first usable one: a superseded frame
+is crc-checked, never decoded.
 """
 from __future__ import annotations
 
 import json
 import logging
 import os
+import re
 import struct
 import threading
 import zlib
@@ -32,21 +37,25 @@ log = logging.getLogger(__name__)
 
 _HEADER = struct.Struct("<II")
 _PAYLOAD_LIMIT = 64 * 1024 * 1024
+# a key or op holding an escape or a quote does not match and is decoded
+_PREFIX = re.compile(rb'\{"key":"([^"\\]*)","op":"([^"\\]*)"')
 
 
 def _frame(payload: bytes) -> bytes:
     return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
-def load_entries(path: str) -> tuple[list[dict], int]:
-    """Replay the log. Returns (entries, skipped_count)."""
-    entries: list[dict] = []
+def load_entries(path: str) -> tuple[dict, int]:
+    """Read the log. Returns ({key: [payload, ...] oldest first}, skipped), keys
+    in replay order: a key goes to the end at its first put after a delete."""
+    groups: dict = {}
+    placed = set()  # keys whose last put or delete frame is a put
     skipped = 0
     try:
         with open(path, "rb") as fh:
             data = fh.read()
     except FileNotFoundError:
-        return entries, skipped
+        return groups, skipped
     except OSError as exc:
         raise StorageIoError(f"cannot read record log: {exc}") from exc
     off = 0
@@ -72,18 +81,31 @@ def load_entries(path: str) -> tuple[list[dict], int]:
             log.warning("record log %s: entry %d failed crc, skipping", path, index)
         else:
             try:
-                entries.append(json.loads(payload.decode("utf-8")))
-            except (ValueError, UnicodeDecodeError):
+                m = _PREFIX.match(payload)
+                if m is not None:
+                    key, op = m[1].decode("utf-8"), m[2].decode("utf-8")
+                else:
+                    entry = json.loads(payload.decode("utf-8"))
+                    key, op = entry["key"], entry.get("op")
+                frames = groups.setdefault(key, [])
+            except (ValueError, KeyError, TypeError):
                 skipped += 1
-                log.warning("record log %s: entry %d crc ok but undecodable, skipping",
+                log.warning("record log %s: entry %d crc ok but has no key, skipping",
                             path, index)
+            else:
+                if op == "delete":
+                    placed.discard(key)
+                elif op == "put" and key not in placed:
+                    placed.add(key)
+                    groups[key] = groups.pop(key)  # to the end, as replay re-inserts it
+                frames.append(payload)
         off = body_end
         index += 1
-    return entries, skipped
+    return groups, skipped
 
 
 class RecordLog:
-    """Writer handle. Appends are serialized and flushed per entry."""
+    """Writer handle. Appends are serialized and flushed, never fsynced."""
 
     def __init__(self, path: str):
         self.path = path

@@ -8,6 +8,7 @@ import pytest
 
 from helpers import payload_tree, tiny_tree
 from udigate.clock import SystemClock
+from udigate.errors import StorageIoError
 from udigate.gateway import Gateway, ImageState
 from udigate.refs import parse_reference
 from udigate.registry import LocalRegistry
@@ -200,6 +201,46 @@ def test_unexpected_error_fails_record_and_worker_survives(fast_cfg, tmp_path):
         assert rec.last_error == "RuntimeError: disk on fire"
         gw.pull(second)
         assert wait_for_state(gw, second, ImageState.READY).state is ImageState.READY
+        assert all(t.is_alive() for t in runtime._threads)
+    finally:
+        runtime.stop()
+        gw.close()
+
+
+class BrokenRegistry(LocalRegistry):
+    """fetch_layer raises an error that is not a UdigateError while broken."""
+
+    broken = True
+
+    def fetch_layer(self, digest: str) -> bytes:
+        if self.broken:
+            raise RuntimeError("disk on fire")
+        return super().fetch_layer(digest)
+
+
+def test_workers_survive_a_failing_fail_task(fast_cfg, tmp_path):
+    """The worker fails the record itself, and that record-log append
+    raises: both workers log it and live on, so a later task still runs."""
+    gw, runtime, registry = build(fast_cfg, tmp_path, registry=BrokenRegistry())
+    append = gw._log.append
+
+    def failing_append(entry):
+        if entry["record"]["state"] == "FAILED":
+            raise StorageIoError("cannot append to record log: disk full")
+        append(entry)
+
+    gw._log.append = failing_append
+    runtime.start()
+    try:
+        refs = [parse_reference("svc/app:v1"), parse_reference("svc/app:v2")]
+        for ref in refs:
+            gw.pull(ref)
+        for ref in refs:
+            assert wait_for_state(gw, ref, ImageState.FAILED).state is ImageState.FAILED
+        gw._log.append = append
+        registry.broken = False
+        gw.pull(refs[0])
+        assert wait_for_state(gw, refs[0], ImageState.READY).state is ImageState.READY
         assert all(t.is_alive() for t in runtime._threads)
     finally:
         runtime.stop()
