@@ -4,7 +4,8 @@ Records move ENQUEUED -> PULLING -> CONVERTING -> READY. Any transient state
 can drop to FAILED; FAILED can re-enter ENQUEUED until attempts run out;
 READY can only leave via EXPIRED. Nothing else is legal, and every change
 funnels through one choke point that enforces the transition table, stamps
-updated_at, persists, and fires the audit hook.
+updated_at, persists, then installs, and fires the audit hook. Records are
+immutable values, so a change whose log append fails never takes effect.
 
 The hard-won rules encoded here:
 
@@ -30,7 +31,6 @@ The hard-won rules encoded here:
 """
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import logging
@@ -40,7 +40,7 @@ import secrets
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 from .authsvc import Credential, Principal
 from .config import Config
@@ -88,8 +88,7 @@ _STORE_TYPES = (str,) * 10 + (int,) * 2  # a bool is not an int here
 _NUMBERS = {int, float}
 
 
-@dataclass
-class ImageRecord:
+class ImageRecord(NamedTuple):
     ref: ImageReference
     state: ImageState
     content_digest: str = ""  # SHA-256 of the manifest's layer digests, in order
@@ -102,9 +101,6 @@ class ImageRecord:
     attempts: int = 0
     last_error: str = ""
     lease_id: str = ""  # worker ownership token, not part of the API body
-
-    def snapshot(self) -> "ImageRecord":
-        return dataclasses.replace(self)
 
     def to_api_dict(self) -> dict:
         out = {"ref": self.ref.canonical()}
@@ -153,7 +149,7 @@ class PullTask:
     attempt: int
 
 
-# (key, old_state, new_state, snapshot, verified); old None on record
+# (key, old_state, new_state, record, verified); old None on record
 # creation, new None on record removal
 AuditHook = Callable[[str, Optional[ImageState], Optional[ImageState], ImageRecord, bool], None]
 
@@ -170,13 +166,13 @@ class Gateway:
         self.state_dir = state_dir
         self.verifier = verifier
         self.site = default_site_config()
-        self.task_sink = task_sink
+        self.pending_tasks: list[PullTask] = []  # the task sink when none is wired
+        self.task_sink = task_sink or self.pending_tasks.append
         self.audit_hook = audit_hook
         self.tracer = tracer
         self._rng = rng
         self._lock = threading.RLock()
         self._records: dict[str, ImageRecord] = {}
-        self.pending_tasks: list[PullTask] = []  # used when no task_sink is wired
 
         os.makedirs(self.udi_dir, exist_ok=True)
         from .store import RecordLog, load_entries
@@ -228,55 +224,48 @@ class Gateway:
         self._log.append({"op": "put", "key": rec.ref.key(), "record": rec.to_store_dict()})
 
     def _transition(self, rec: ImageRecord, new: ImageState, *, verified: bool = False,
-                    **updates) -> None:
+                    **updates) -> ImageRecord:
+        """Append the record that ``rec`` becomes, then install and return it;
+        if the append raises, the stored record stays as last logged."""
         old = rec.state
         if (old, new) not in ALLOWED_TRANSITIONS:
             raise IllegalTransition(f"{rec.ref.canonical()}: {old} -> {new}")
-        for name, value in updates.items():
-            setattr(rec, name, value)
-        rec.state = new
-        rec.updated_at = self.clock.now()
+        now = self.clock.now()
+        lease_id, lease_expires_at = "", 0.0
         if new is ImageState.ENQUEUED:  # every (re)entry gets a fresh lease
-            rec.lease_id = self._next_lease()
-            rec.lease_expires_at = rec.updated_at + self.config.lease_duration
+            lease_id, lease_expires_at = self._next_lease(), now + self.config.lease_duration
         elif new in TRANSIENT_STATES:
-            if rec.lease_expires_at <= rec.updated_at:
-                rec.lease_expires_at = rec.updated_at + self.config.lease_duration
-        else:
-            rec.lease_id = ""
-            rec.lease_expires_at = 0.0
+            lease_id, lease_expires_at = rec.lease_id, rec.lease_expires_at
+            if lease_expires_at <= now:
+                lease_expires_at = now + self.config.lease_duration
+        rec = rec._replace(state=new, updated_at=now, lease_id=lease_id,
+                           lease_expires_at=lease_expires_at, **updates)
         self._persist(rec)
+        self._records[rec.ref.key()] = rec
         if self.audit_hook is not None:
-            self.audit_hook(rec.ref.key(), old, new, rec.snapshot(), verified)
+            self.audit_hook(rec.ref.key(), old, new, rec, verified)
         self._trace("state", [("ref", rec.ref.canonical()), ("from", old or "-"),
                               ("to", new), ("attempts", rec.attempts)])
+        return rec
 
     def _create_record(self, ref: ImageReference) -> ImageRecord:
         now = self.clock.now()
         # built with no state so that creation goes through the choke point too
         rec = ImageRecord(ref=ref, state=None, created_at=now,  # type: ignore[arg-type]
                           updated_at=now, attempts=1)
-        self._records[ref.key()] = rec
-        self._transition(rec, ImageState.ENQUEUED)
-        return rec
+        return self._transition(rec, ImageState.ENQUEUED)
 
     def _delete_record(self, rec: ImageRecord) -> None:
         key = rec.ref.key()
-        self._records.pop(key, None)
         self._log.append({"op": "delete", "key": key})
+        del self._records[key]
         if self.audit_hook is not None:
-            self.audit_hook(key, rec.state, None, rec.snapshot(), False)
+            self.audit_hook(key, rec.state, None, rec, False)
         self._trace("delete", [("ref", rec.ref.canonical()), ("state", rec.state)])
 
     def _task_for(self, rec: ImageRecord) -> PullTask:
         return PullTask(ref=rec.ref, lease_id=rec.lease_id,
                         enqueued_at=self.clock.now(), attempt=rec.attempts)
-
-    def _emit_task(self, task: PullTask) -> None:
-        if self.task_sink is not None:
-            self.task_sink(task)
-        else:
-            self.pending_tasks.append(task)
 
     # -- client API -------------------------------------------------------------
 
@@ -297,31 +286,30 @@ class Gateway:
                 if rec.attempts >= self.config.max_attempts:
                     outcome = "sticky_failed"
                 else:
-                    self._transition(rec, ImageState.ENQUEUED,
-                                     attempts=rec.attempts + 1, last_error="")
+                    rec = self._transition(rec, ImageState.ENQUEUED,
+                                           attempts=rec.attempts + 1, last_error="")
                     task = self._task_for(rec)
                     outcome = "retry"
             elif rec.state is ImageState.READY:
                 outcome = "ready"
             else:
                 outcome = "joined"
-            snap = rec.snapshot()
         self._trace("pull", [("ref", ref.canonical()), ("outcome", outcome),
-                             ("state", snap.state)])
+                             ("state", rec.state)])
         if task is not None:
-            self._emit_task(task)
-        return snap
+            self.task_sink(task)
+        return rec
 
     def lookup(self, ref: ImageReference) -> ImageRecord:
         with self._lock:
             rec = self._records.get(ref.key())
             if rec is None:
                 raise NotFound(f"no record for {ref.canonical()} on {ref.system}")
-            return rec.snapshot()
+            return rec
 
     def list_records(self, system: str) -> list[ImageRecord]:
         with self._lock:
-            out = [r.snapshot() for r in self._records.values() if r.ref.system == system]
+            out = [r for r in self._records.values() if r.ref.system == system]
         out.sort(key=lambda r: r.ref.canonical())
         return out
 
@@ -337,17 +325,17 @@ class Gateway:
             if rec is None:
                 raise NotFound(f"no record for {ref.canonical()} on {ref.system}")
             if rec.state is ImageState.READY:
-                self._transition(rec, ImageState.EXPIRED)
+                rec = self._transition(rec, ImageState.EXPIRED)
                 # under the lock, so a re-pull cannot place its archive here first
                 try:
                     os.unlink(rec.udi_path)
                 except FileNotFoundError:
                     pass
             elif rec.state in TRANSIENT_STATES:
-                self._transition(rec, ImageState.FAILED, last_error="expired by admin")
+                rec = self._transition(rec, ImageState.FAILED, last_error="expired by admin")
             else:
                 self._delete_record(rec)
-            return rec.snapshot()
+            return rec
 
     # -- maintenance ------------------------------------------------------------
 
@@ -359,9 +347,8 @@ class Gateway:
         with self._lock:
             for rec in list(self._records.values()):
                 if rec.state in TRANSIENT_STATES and stale(rec):
-                    self._transition(rec, ImageState.FAILED,
-                                     last_error=f"{why} {rec.state.value}")
-                    flipped.append(rec.snapshot())
+                    flipped.append(self._transition(rec, ImageState.FAILED,
+                                                    last_error=f"{why} {rec.state.value}"))
         return flipped
 
     def sweep_stale(self) -> list[ImageRecord]:
@@ -401,7 +388,8 @@ class Gateway:
     def renew_lease(self, task: PullTask) -> None:
         with self._lock:
             rec = self._rec_for_task(task)
-            rec.lease_expires_at = self.clock.now() + self.config.lease_duration
+            self._records[rec.ref.key()] = rec._replace(
+                lease_expires_at=self.clock.now() + self.config.lease_duration)
 
     def begin_convert(self, task: PullTask, content_digest: str) -> None:
         with self._lock:
@@ -423,10 +411,9 @@ class Gateway:
                 os.replace(udi_path, dest)
             except OSError as exc:
                 raise StorageIoError(f"cannot place archive: {exc}") from exc
-            self._transition(rec, ImageState.READY, verified=True,
-                             udi_path=dest, udi_digest=check.digest,
-                             size_bytes=size, last_error="")
-            return rec.snapshot()
+            return self._transition(rec, ImageState.READY, verified=True,
+                                    udi_path=dest, udi_digest=check.digest,
+                                    size_bytes=size, last_error="")
 
     def fail_task(self, task: PullTask, error: Exception) -> bool:
         """Fail the record this task owns. Returns False if the lease was

@@ -6,7 +6,7 @@ map onto a fixed status table: 401 for credential problems, 404 for
 unknown images or malformed references, 409 for damaged archives or
 persistence, 503 when the registry is down. Other bad requests are 400.
 An unexpected exception is logged and answered with 500, so the
-keep-alive connection survives it.
+keep-alive connection survives it. A request body is read and ignored.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ class _JsonHandler(BaseHTTPRequestHandler):
         as JSON. A raised exception becomes a JSON error response; one that
         is not a UdigateError or ValueError is logged and answered with 500."""
         try:
+            self._discard_body()
             body, code = route(), 200
         except Exception as exc:
             code = _status_for(exc)
@@ -77,6 +78,17 @@ class _JsonHandler(BaseHTTPRequestHandler):
             self._send(code, "application/octet-stream", body)
         else:
             self._send(code, "application/json", json.dumps(body).encode())
+
+    def _discard_body(self) -> None:
+        """Read and drop the request body, which no endpoint uses, so the next
+        request on a keep-alive connection starts at its own request line."""
+        declared = self.headers.get("Content-Length", "0")
+        if not (declared.isascii() and declared.isdigit()):
+            self.close_connection = True  # where the body ends is unknown
+            raise ValueError(f"malformed Content-Length: {declared!r}")
+        left = int(declared)
+        while left > 0 and (chunk := self.rfile.read(min(left, 64 * 1024))):
+            left -= len(chunk)
 
     def _credential(self) -> Credential | None:
         wire = self.headers.get(WIRE_HEADER)

@@ -70,7 +70,6 @@ class IdentityBackend:
         self.tracer = tracer
         self._busy: list[float] = []
         self.requests = 0
-        self.admitted = 0
         self.timeouts = 0
 
     def lookup(self, uid: int, arrival: float) -> tuple[Optional[tuple[int, ...]], float]:
@@ -95,7 +94,6 @@ class IdentityBackend:
                 f"timeout is {self.timeout:.3f}s")
         done = admit + self.latency_mean
         heapq.heappush(busy, done)
-        self.admitted += 1
         if self.tracer is not None:
             self.tracer.emit(arrival, "identity", "admit",
                              [("uid", uid), ("queued", f"{queued:.6f}"),

@@ -237,6 +237,7 @@ class HttpRegistryClient:
             with urllib.request.urlopen(url, timeout=self.timeout) as resp:
                 return resp.read()
         except urllib.error.HTTPError as exc:
+            exc.close()  # its unread response holds the connection open
             if exc.code == 404:
                 raise RegistryUnknownImage(f"registry returned 404 for {path}") from exc
             raise RegistryIoError(f"registry returned {exc.code} for {path}") from exc

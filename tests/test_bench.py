@@ -1,5 +1,7 @@
 """Startup benchmark grid, CSV round trip, and regime classification."""
 
+from pathlib import Path
+
 import pytest
 
 from helpers import (
@@ -88,7 +90,7 @@ def test_csv_stable_bytes(tmp_path):
     p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     write_rows(p1, rows)
     write_rows(p2, rows)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 # -- classifier ------------------------------------------------------------------

@@ -32,11 +32,22 @@ def seeded_registry():
     return reg
 
 
+_SIMS: list[ClusterSim] = []  # made by make_sim, cleaned up after each test
+
+
+@pytest.fixture(autouse=True)
+def _clean_up_sims():
+    yield
+    while _SIMS:
+        _SIMS.pop().cleanup()
+
+
 def make_sim(seed=7, n_nodes=4, config=None, tmp_path=None, registry=None):
     cfg = config if config is not None else Config()
     state = str(tmp_path / f"sim-{seed}") if tmp_path is not None else None
-    return ClusterSim(cfg, seed=seed, n_nodes=n_nodes,
-                      registry=registry or seeded_registry(), state_dir=state)
+    _SIMS.append(ClusterSim(cfg, seed=seed, n_nodes=n_nodes,
+                            registry=registry or seeded_registry(), state_dir=state))
+    return _SIMS[-1]
 
 
 def directive_spec(**kw):
@@ -338,12 +349,15 @@ def test_lease_revoked_trace_line(tmp_path):
 def _trace_for(seed, tmp_path, tag):
     sim = ClusterSim(Config(), seed=seed, n_nodes=8, registry=seeded_registry(),
                      state_dir=str(tmp_path / tag))
-    sim.submit(directive_spec(nodes=8, ranks_per_node=16))
-    spec2 = JobSpec(nodes=3, ranks_per_node=2, image_mode=MODE_PER_COMMAND,
-                    gres=("udi",), commands=(JobCommand("./x", image="apps/sim:v2"),))
-    sim.submit(spec2)
-    sim.run()
-    return sim.tracer.text()
+    try:
+        sim.submit(directive_spec(nodes=8, ranks_per_node=16))
+        spec2 = JobSpec(nodes=3, ranks_per_node=2, image_mode=MODE_PER_COMMAND,
+                        gres=("udi",), commands=(JobCommand("./x", image="apps/sim:v2"),))
+        sim.submit(spec2)
+        sim.run()
+        return sim.tracer.text()
+    finally:
+        sim.cleanup()
 
 
 def test_same_seed_same_trace(tmp_path):

@@ -17,6 +17,7 @@ from udigate.errors import (
     LeaseRevoked,
     NotFound,
     PersistenceCorrupt,
+    StorageIoError,
     VerifyError,
 )
 from udigate.filetree import FileTree, blob_digest
@@ -25,7 +26,7 @@ from udigate.refs import parse_reference
 from udigate.httpd import make_registry_server
 from udigate.registry import HttpRegistryClient, LocalRegistry
 from udigate.store import RecordLog
-from udigate.udi import UdiCheck, check_udi, scan_udi, verify_udi
+from udigate.udi import UdiCheck, check_udi, scan_udi, verify_udi, write_udi
 
 REF = parse_reference("app/alpha:v1")
 
@@ -377,6 +378,82 @@ def test_restart_fails_inflight_work(rig, fast_cfg):
         assert rec.attempts == 2
     finally:
         reborn.close()
+
+
+WRITES = ["pull-create", "pull-retry", "pull-replace-expired", "claim", "begin_convert",
+          "complete", "fail_task", "sweep_stale", "expire-ready", "expire-failed"]
+
+
+def _one_write(case, gw, clock, registry, cfg, tmp_path):
+    """Bring REF to the state ``case`` starts from; return the write under test."""
+    if case == "pull-create":
+        return lambda: gw.pull(REF)
+    if case in ("pull-retry", "expire-failed"):
+        registry.set_down(True)
+        gw.pull(REF)
+        drive(gw, clock)
+        registry.set_down(False)
+        return (lambda: gw.pull(REF)) if case == "pull-retry" else (lambda: gw.expire(REF))
+    if case in ("pull-replace-expired", "expire-ready"):
+        gw.pull(REF)
+        drive(gw, clock)
+        if case == "expire-ready":
+            return lambda: gw.expire(REF)
+        gw.expire(REF)
+        return lambda: gw.pull(REF)
+    gw.pull(REF)
+    task = gw.pending_tasks.pop(0)
+    if case == "claim":
+        return lambda: gw.claim(task)
+    gw.claim(task)
+    if case == "fail_task":
+        return lambda: gw.fail_task(task, RuntimeError("worker broke"))
+    if case == "sweep_stale":
+        clock.advance(cfg.lease_duration + 0.001)
+        return gw.sweep_stale
+    if case == "begin_convert":
+        return lambda: gw.begin_convert(task, "d" * 64)
+    gw.begin_convert(task, "d" * 64)
+    part = str(tmp_path / "fresh.udi")
+    write_udi(LAYERS[0], part, source_ref=REF.canonical(), created_at=clock.now())
+    return lambda: gw.complete(task, part)
+
+
+@pytest.mark.parametrize("case", WRITES)
+def test_a_failed_append_changes_nothing(rig, fast_cfg, tmp_path, case):
+    # memory must hold what a restart replays: a change whose log append
+    # fails never takes effect
+    gw, clock, registry = rig
+    write = _one_write(case, gw, clock, registry, fast_cfg, tmp_path)
+    append = gw._log.append
+
+    def fail_once(entry):
+        gw._log.append = append
+        raise StorageIoError("cannot append to record log: disk full")
+
+    before = gw.list_records(REF.system)
+    gw._log.append = fail_once
+    with pytest.raises(StorageIoError):
+        write()
+    assert gw._log.append == append  # the write under test did append
+    assert gw.list_records(REF.system) == before
+    gw.close()
+    reborn = Gateway(fast_cfg, clock, registry, gw.state_dir)
+    try:
+        assert reborn.list_records(REF.system) == before
+    finally:
+        reborn.close()
+
+
+def test_records_are_values(rig):
+    gw, clock, _ = rig
+    gw.pull(REF)
+    rec = gw.lookup(REF)
+    with pytest.raises(AttributeError):
+        rec.state = ImageState.FAILED
+    drive(gw, clock)
+    assert rec.state is ImageState.ENQUEUED  # a later change replaces, never edits
+    assert gw.lookup(REF).state is ImageState.READY
 
 
 def test_torn_log_refused(rig, fast_cfg):

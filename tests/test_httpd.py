@@ -72,6 +72,7 @@ def gw_rig(fast_cfg, tmp_path):
     port = serve(srv)
     yield port, gw, runtime
     srv.shutdown()
+    srv.server_close()
     runtime.stop()
     gw.close()
 
@@ -163,6 +164,39 @@ def test_unexpected_error_is_json_500_and_keeps_connection(gw_rig, monkeypatch):
         conn.close()
 
 
+
+def test_request_body_is_read_and_ignored(gw_rig):
+    port, _, _ = gw_rig
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        conn.request("POST", "/api/pull/local/team/app:v1", body=b'{"note": "hi"}',
+                     headers={WIRE_HEADER: credential_to_wire(user_cred())})
+        resp = conn.getresponse()
+        assert resp.status == 200
+        assert json.loads(resp.read())["ref"] == "team/app:v1"
+        conn.request("GET", "/api/lookup/local/team/app:v1")  # same keep-alive connection
+        resp = conn.getresponse()
+        assert resp.status == 200
+        assert json.loads(resp.read())["ref"] == "team/app:v1"
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("length", ["12x", "-1", "+3", "1_0"])
+def test_malformed_content_length_is_json_400(gw_rig, length):
+    port, _, _ = gw_rig
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        conn.putrequest("POST", "/api/pull/local/team/app:v1")
+        conn.putheader("Content-Length", length)
+        conn.endheaders()
+        resp = conn.getresponse()
+        assert resp.status == 400
+        assert json.loads(resp.read()) == {
+            "error": "ValueError", "detail": f"malformed Content-Length: {length!r}"}
+    finally:
+        conn.close()
+
 # -- registry ---------------------------------------------------------------------
 
 
@@ -175,6 +209,7 @@ def reg_rig():
     port = serve(srv)
     yield port, registry
     srv.shutdown()
+    srv.server_close()
 
 
 def test_manifest_over_http(reg_rig):

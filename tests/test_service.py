@@ -1,5 +1,6 @@
 """Threaded gateway runtime: wall-clock workers over the pull pipeline."""
 
+import json
 import logging
 import threading
 import time
@@ -13,6 +14,7 @@ from udigate.gateway import Gateway, ImageState
 from udigate.refs import parse_reference
 from udigate.registry import LocalRegistry
 from udigate.service import GatewayRuntime
+from udigate.store import load_entries
 
 
 class HookedRegistry(LocalRegistry):
@@ -208,24 +210,33 @@ def test_unexpected_error_fails_record_and_worker_survives(fast_cfg, tmp_path):
 
 
 class BrokenRegistry(LocalRegistry):
-    """fetch_layer raises an error that is not a UdigateError while broken."""
+    """While broken, fetch_layer waits until two workers are inside it, then
+    raises an error that is not a UdigateError."""
 
     broken = True
 
+    def __init__(self):
+        super().__init__()
+        self.both_inside = threading.Barrier(2, timeout=5.0)
+
     def fetch_layer(self, digest: str) -> bytes:
         if self.broken:
+            self.both_inside.wait()
             raise RuntimeError("disk on fire")
         return super().fetch_layer(digest)
 
 
 def test_workers_survive_a_failing_fail_task(fast_cfg, tmp_path):
-    """The worker fails the record itself, and that record-log append
-    raises: both workers log it and live on, so a later task still runs."""
-    gw, runtime, registry = build(fast_cfg, tmp_path, registry=BrokenRegistry())
-    append = gw._log.append
+    """Each worker fails its record itself, and that record-log append
+    raises: the record stays as last logged, both workers log the error and
+    live on, and once appends work the sweeper fails the lapsed records."""
+    gw, runtime, registry = build(fast_cfg, tmp_path, registry=BrokenRegistry(),
+                                  lease_duration=0.2, sweep_interval=0.05)
+    append, refused_in = gw._log.append, set()
 
     def failing_append(entry):
         if entry["record"]["state"] == "FAILED":
+            refused_in.add(threading.current_thread().name)
             raise StorageIoError("cannot append to record log: disk full")
         append(entry)
 
@@ -235,10 +246,22 @@ def test_workers_survive_a_failing_fail_task(fast_cfg, tmp_path):
         refs = [parse_reference("svc/app:v1"), parse_reference("svc/app:v2")]
         for ref in refs:
             gw.pull(ref)
+        workers = {t.name for t in runtime._threads}
+        deadline = time.monotonic() + 5.0
+        while not workers <= refused_in and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert workers <= refused_in
+        groups, _ = load_entries(gw._log.path)
         for ref in refs:
-            assert wait_for_state(gw, ref, ImageState.FAILED).state is ImageState.FAILED
+            assert gw.lookup(ref).state is ImageState.PULLING
+            assert json.loads(groups[ref.key()][-1])["record"]["state"] == "PULLING"
+        assert all(t.is_alive() for t in runtime._threads)
+
         gw._log.append = append
         registry.broken = False
+        for ref in refs:
+            rec = wait_for_state(gw, ref, ImageState.FAILED)
+            assert rec.last_error == "lease expired in PULLING"
         gw.pull(refs[0])
         assert wait_for_state(gw, refs[0], ImageState.READY).state is ImageState.READY
         assert all(t.is_alive() for t in runtime._threads)

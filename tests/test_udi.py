@@ -6,6 +6,7 @@ import io
 import os
 import random
 import struct
+from pathlib import Path
 
 import pytest
 
@@ -65,7 +66,7 @@ def test_identical_inputs_identical_bytes(tmp_path):
     d1 = _write(tiny_tree(), tmp_path / "a.udi")
     d2 = _write(tiny_tree(), tmp_path / "b.udi")
     assert d1.digest == d2.digest
-    assert open(d1.path, "rb").read() == open(d2.path, "rb").read()
+    assert Path(d1.path).read_bytes() == Path(d2.path).read_bytes()
 
 
 def test_metadata_changes_digest(tmp_path):
@@ -119,7 +120,7 @@ def test_verify_missing_file():
 ], ids=["magic", "version", "shortened", "torn-header", "appended", "zeroed-trailer"])
 def test_verify_rejects_structural_damage(tmp_path, mangle, reason):
     desc = _write(payload_tree(), tmp_path / "a.udi")
-    data = open(desc.path, "rb").read()
+    data = Path(desc.path).read_bytes()
     check = verify_udi(mangle(data))
     assert not check.ok
     assert check.reason == reason
@@ -127,7 +128,7 @@ def test_verify_rejects_structural_damage(tmp_path, mangle, reason):
 
 def test_every_single_byte_flip_detected(tmp_path):
     desc = _write(tiny_tree(), tmp_path / "a.udi")
-    data = bytearray(open(desc.path, "rb").read())
+    data = bytearray(Path(desc.path).read_bytes())
     for pos in range(len(data)):
         orig = data[pos]
         data[pos] = orig ^ 0x41
@@ -137,7 +138,7 @@ def test_every_single_byte_flip_detected(tmp_path):
 
 def test_verify_on_disk_corruption(tmp_path):
     desc = _write(payload_tree(), tmp_path / "a.udi")
-    data = bytearray(open(desc.path, "rb").read())
+    data = bytearray(Path(desc.path).read_bytes())
     data[len(data) // 2] ^= 0xFF
     with open(desc.path, "wb") as fh:
         fh.write(bytes(data))
@@ -192,7 +193,7 @@ def test_magic_constant():
 def test_open_udi_path_and_bytes_agree(tmp_path):
     desc = _write(payload_tree(), tmp_path / "a.udi")
     pdesc, pentries = open_udi(desc.path)
-    bdesc, bentries = open_udi(open(desc.path, "rb").read())
+    bdesc, bentries = open_udi(Path(desc.path).read_bytes())
     assert pdesc == desc
     assert bdesc == dataclasses.replace(desc, path="")
     assert bentries == pentries
@@ -223,7 +224,7 @@ def test_window_straddling_header_verifies_and_flips_are_caught(tmp_path):
     check = verify_udi(desc.path)
     assert check.ok, check
     assert check.digest == desc.digest
-    data = open(desc.path, "rb").read()
+    data = Path(desc.path).read_bytes()
     fdesc, fentries = open_udi(desc.path)
     bdesc, bentries = open_udi(data)
     assert fentries == bentries
@@ -244,7 +245,7 @@ def test_window_straddling_header_verifies_and_flips_are_caught(tmp_path):
 
 def test_truncated_large_archive_is_rejected(tmp_path):
     desc, _ = _straddling_archive(tmp_path)
-    data = open(desc.path, "rb").read()
+    data = Path(desc.path).read_bytes()
     for cut in (_WINDOW + 1, len(data) - 1):
         with open(desc.path, "wb") as fh:
             fh.write(data[:cut])
@@ -308,7 +309,7 @@ def _reads(monkeypatch):
 
 def test_check_udi_hashes_every_byte_in_bounded_reads(tmp_path, monkeypatch):
     desc = _write(payload_tree(), tmp_path / "a.udi")
-    data = open(desc.path, "rb").read()
+    data = Path(desc.path).read_bytes()
     n = len(data)
     reads = _reads(monkeypatch)
     for window in (1, 31, 32, 33, 64, n - 33, n - 32, n - 31, n, n + 1):
@@ -349,7 +350,7 @@ def test_unreadable_file_is_io_for_every_reader(tmp_path):
 
 def test_check_udi_refuses_resized_large_archive(tmp_path):
     desc, _ = _straddling_archive(tmp_path)
-    data = open(desc.path, "rb").read()
+    data = Path(desc.path).read_bytes()
     assert check_udi(desc.path, desc.digest).ok
     for changed in (data[:_WINDOW + 1], data[:-1], data + b"\x00", data + data[-TRAILER_LEN:]):
         with open(desc.path, "wb") as fh:
