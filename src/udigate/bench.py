@@ -78,29 +78,30 @@ def _measure_startup(n_nodes: int, ranks: int, ref_text: str, size_bytes: int,
     in_repo = f"{ref.repository}/{ref.name}" if ref.repository else ref.name
     registry.add_image(in_repo, ref.tag, fixture_layers(), total_size=size_bytes)
     sim = ClusterSim(config, seed=row_seed, n_nodes=n_nodes, registry=registry)
+    try:
+        # pre-pull so the job measures staging, not transfer
+        sim.gateway.pull(ref, sim.make_credential())
+        sim.clock.run_until_idle()
+        rec = sim.gateway.lookup(ref)
+        if rec.state.value != "READY":
+            raise AssertionError(f"bench pre-pull did not reach READY: {rec.state}")
 
-    # pre-pull so the job measures staging, not transfer
-    rec = sim.gateway.pull(ref, sim.make_credential())
-    sim.clock.run_until_idle()
-    rec = sim.gateway.lookup(ref)
-    if rec.state.value != "READY":
-        raise AssertionError(f"bench pre-pull did not reach READY: {rec.state}")
-
-    if mode == MODE_DIRECTIVE:
-        spec = JobSpec(nodes=n_nodes, ranks_per_node=ranks, image_mode=mode,
-                       gres=(UDI_GRES,), udi=ref_text,
-                       commands=(JobCommand("./workload"),))
-    else:
-        spec = JobSpec(nodes=n_nodes, ranks_per_node=ranks, image_mode=mode,
-                       gres=(UDI_GRES,),
-                       commands=(JobCommand("./workload", image=ref_text),))
-    job_id = sim.submit(spec)
-    sim.run()
-    result = sim.result(job_id)
-    if result.outcome != "success":
-        raise AssertionError(f"bench job failed: {result.reason}")
-    sim.assert_clean()
-    sim.cleanup()
+        if mode == MODE_DIRECTIVE:
+            spec = JobSpec(nodes=n_nodes, ranks_per_node=ranks, image_mode=mode,
+                           gres=(UDI_GRES,), udi=ref_text,
+                           commands=(JobCommand("./workload"),))
+        else:
+            spec = JobSpec(nodes=n_nodes, ranks_per_node=ranks, image_mode=mode,
+                           gres=(UDI_GRES,),
+                           commands=(JobCommand("./workload", image=ref_text),))
+        job_id = sim.submit(spec)
+        sim.run()
+        result = sim.result(job_id)
+        if result.outcome != "success":
+            raise AssertionError(f"bench job failed: {result.reason}")
+        sim.assert_clean()
+    finally:
+        sim.cleanup()
     return result.startup_seconds
 
 

@@ -33,7 +33,7 @@ from .cluster import (
 )
 from .config import Config, load_config
 from .chaos import run_scenario
-from .errors import UdigateError, UnknownScenario
+from .errors import StorageIoError, UdigateError, UnknownScenario
 from .gateway import Gateway
 from .httpd import make_gateway_server, make_registry_server
 from .refs import parse_reference
@@ -169,11 +169,12 @@ def _run_one_job(spec: JobSpec, seed: int, config: Config,
         _seed_registry(registry, images)
     sim = ClusterSim(config, seed=seed, n_nodes=cluster_nodes or spec.nodes,
                      registry=registry)
-    job_id = sim.submit(spec)
-    results = sim.run()
-    result = results[job_id]
+    try:
+        job_id = sim.submit(spec)
+        result = sim.run()[job_id]
+    finally:
+        sim.cleanup()
     _print_result(job_id, result)
-    sim.cleanup()
     return 0 if result.outcome == "success" else 1
 
 
@@ -223,8 +224,13 @@ def _cmd_bench_classify(args) -> int:
 def _cmd_admin_expire(args) -> int:
     cfg = _load_config(args.config)
     ref = parse_reference(args.image, system=args.system)
-    gateway = Gateway(cfg, SystemClock(), LocalRegistry(), args.state_dir,
-                      verifier=None)
+    try:
+        gateway = Gateway(cfg, SystemClock(), LocalRegistry(), args.state_dir,
+                          verifier=None)
+    except StorageIoError as exc:
+        raise StorageIoError(f"{exc}; this command is for a stopped gateway, a running one "
+                             f"expires through POST /api/expire/{ref.system}/{ref.canonical()}"
+                             ) from exc
     try:
         rec = gateway.expire(ref)
         print(f"{ref.canonical()}: {rec.state}")

@@ -18,10 +18,16 @@ The hard-won rules encoded here:
     written archive first and records its trailer digest; a record can
     never claim an artifact that does not check out, and every mount
     checks the file's bytes against that digest
+  * a gateway is the only writer of its state directory: its record log
+    holds a lock from construction to close(), so a second gateway over
+    the directory is refused, and after close() a worker of the old one
+    finds its lease gone and neither places an archive nor appends
   * a worker writes its archive under a name of its own; only complete(),
     under the lock and while the lease holds, renames it onto the name a
     READY record points at, so a worker whose lease was swept never
-    touches the current archive
+    touches the current archive; a pull that fails leaves nothing of its
+    own in udi/, and a restart deletes every file there that no READY
+    record names
   * concurrent pulls of one reference share a single task (single-flight),
     so a popular image is downloaded once, not once per caller
   * after a restart, anything still transient in the store is failed before
@@ -31,6 +37,7 @@ The hard-won rules encoded here:
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import logging
@@ -177,7 +184,13 @@ class Gateway:
         os.makedirs(self.udi_dir, exist_ok=True)
         from .store import RecordLog, load_entries
         self._log = RecordLog(os.path.join(state_dir, "records.log"))
-        groups, skipped = load_entries(self._log.path)
+        try:
+            self._replay(*load_entries(self._log.path))
+        except BaseException:
+            self._log.close()
+            raise
+
+    def _replay(self, groups: dict, skipped: int) -> None:
         for key, payloads in groups.items():
             for payload in reversed(payloads):  # the newest usable entry decides the key
                 try:  # an entry replay cannot use is skipped, and the next older one tried
@@ -357,12 +370,16 @@ class Gateway:
         return self._fail_transients(lambda rec: rec.lease_expires_at < now, "lease expired in")
 
     def recover_on_startup(self) -> list[ImageRecord]:
-        """Fail anything still transient in the replayed store and delete
-        the archives its workers left half written. Must run before
-        traffic: a restart proves the old workers are gone."""
-        for name in os.listdir(self.udi_dir):
-            if name.endswith(".part") or name.startswith(".udi-"):
-                os.unlink(os.path.join(self.udi_dir, name))
+        """Delete every file in udi_dir that no READY record names, and
+        fail anything still transient in the replayed store. Must run
+        before traffic: a restart proves the old workers are gone."""
+        names = os.listdir(self.udi_dir)
+        if names:
+            named = {os.path.basename(rec.udi_path) for rec in self._records.values()
+                     if rec.state is ImageState.READY}
+            for name in names:
+                if name not in named:
+                    os.unlink(os.path.join(self.udi_dir, name))
         return self._fail_transients(lambda rec: True, "gateway restart during")
 
     def has_transient(self) -> bool:
@@ -370,13 +387,17 @@ class Gateway:
             return any(r.state in TRANSIENT_STATES for r in self._records.values())
 
     def close(self) -> None:
-        self._log.close()
+        """Close the log for good. Records stay readable; every later
+        write raises, and a worker's next step finds its lease gone."""
+        with self._lock:
+            self._log.close()
 
     # -- worker-facing operations (lease-gated) -----------------------------------
 
     def _rec_for_task(self, task: PullTask) -> ImageRecord:
         rec = self._records.get(task.ref.key())
-        if rec is None or rec.lease_id != task.lease_id or rec.state not in TRANSIENT_STATES:
+        if (self._log.closed or rec is None or rec.lease_id != task.lease_id
+                or rec.state not in TRANSIENT_STATES):
             raise LeaseRevoked(f"lease no longer owns {task.ref.canonical()}")
         return rec
 
@@ -411,9 +432,14 @@ class Gateway:
                 os.replace(udi_path, dest)
             except OSError as exc:
                 raise StorageIoError(f"cannot place archive: {exc}") from exc
-            return self._transition(rec, ImageState.READY, verified=True,
-                                    udi_path=dest, udi_digest=check.digest,
-                                    size_bytes=size, last_error="")
+            try:
+                return self._transition(rec, ImageState.READY, verified=True,
+                                        udi_path=dest, udi_digest=check.digest,
+                                        size_bytes=size, last_error="")
+            except StorageIoError:
+                with contextlib.suppress(OSError):
+                    os.unlink(dest)  # no READY record names it
+                raise
 
     def fail_task(self, task: PullTask, error: Exception) -> bool:
         """Fail the record this task owns. Returns False if the lease was
@@ -500,13 +526,11 @@ class Gateway:
         # a worker-owned name: only complete(), under the lease, moves it
         # onto the archive name a READY record points at
         part = f"{self._udi_dest(task.ref)}.{task.lease_id}.part"
-        write_udi(modified, part, source_ref=task.ref.canonical(),
-                  created_at=self.clock.now(), site_mods=[m.summary() for m in self.site.mods])
         try:
+            write_udi(modified, part, source_ref=task.ref.canonical(), created_at=self.clock.now(),
+                      site_mods=[m.summary() for m in self.site.mods])
             self.complete(task, part)
         except Exception:
-            try:
+            with contextlib.suppress(OSError):
                 os.unlink(part)
-            except OSError:
-                pass
             raise

@@ -20,9 +20,16 @@ Loading groups payloads by the key in the ``{"key":"<key>","op":"<op>"``
 prefix that append writes, decoding only a frame without it. Replay decodes
 a key's frames newest first up to the first usable one: a superseded frame
 is crc-checked, never decoded.
+
+A log has one writer at a time, a RecordLog, and its appends are
+all-or-nothing on the file: a write that fails or falls short is cut off
+before append raises, so a load reads back exactly the appends that
+returned, in order.
 """
 from __future__ import annotations
 
+import errno
+import fcntl
 import json
 import logging
 import os
@@ -105,28 +112,49 @@ def load_entries(path: str) -> tuple[dict, int]:
 
 
 class RecordLog:
-    """Writer handle. Appends are serialized and flushed, never fsynced."""
+    """The one writer of a record log: the file is open, unbuffered and
+    flocked from construction to close(), a second writer gets
+    StorageIoError, and each append is one write of one frame. If a failed
+    write cannot be cut off, the log closes; a closed log refuses appends.
+    Appends are never fsynced."""
 
     def __init__(self, path: str):
         self.path = path
         self._lock = threading.Lock()
-        self._fh = None
+        try:
+            self._fh = open(path, "ab", buffering=0)
+        except OSError as exc:
+            raise StorageIoError(f"cannot open record log: {exc}") from exc
+        try:
+            fcntl.flock(self._fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except OSError as exc:
+            self._fh.close()
+            raise StorageIoError(f"state directory {os.path.dirname(os.path.abspath(path))} "
+                                 f"is in use by another writer: {exc}") from exc
+        self._size = os.fstat(self._fh.fileno()).st_size
+
+    @property
+    def closed(self) -> bool:
+        return self._fh.closed
 
     def append(self, entry: dict) -> None:
         payload = json.dumps(entry, sort_keys=True, separators=(",", ":")).encode("utf-8")
         frame = _frame(payload)
         with self._lock:
+            if self._fh.closed:
+                raise StorageIoError(f"record log {self.path} is closed")
             try:
-                if self._fh is None:
-                    os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-                    self._fh = open(self.path, "ab")
-                self._fh.write(frame)
-                self._fh.flush()
+                written = self._fh.write(frame)
+                if written != len(frame):
+                    raise OSError(errno.EIO, f"short write, {written} of {len(frame)} bytes")
             except OSError as exc:
+                try:
+                    os.ftruncate(self._fh.fileno(), self._size)
+                except OSError:
+                    self._fh.close()
                 raise StorageIoError(f"cannot append to record log: {exc}") from exc
+            self._size += len(frame)
 
     def close(self) -> None:
         with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+            self._fh.close()

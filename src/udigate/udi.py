@@ -19,8 +19,9 @@ Layout, all integers little-endian:
 Entries are sorted by path, so identical trees with identical metadata give
 bit-identical archives. The writer takes the entry count up front, streams
 each entry through a hashing wrapper as it arrives (its header packed with
-precompiled structs into one write, its content after it), and lands on
-dest_path via rename, so a crashed writer leaves no partial archive behind.
+precompiled structs into one write, its content after it), straight into
+the file it is given. A failed or crashed writer leaves that file partial,
+for the caller, who owns the name, to remove.
 
 Every reader goes through one forward pass over the archive that hashes
 every body byte exactly once and parses only when asked: bytes and a file
@@ -48,7 +49,6 @@ import hashlib
 import json
 import os
 import struct
-import tempfile
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -123,19 +123,16 @@ def write_udi_stream(dest_path: str, created_at: float, source_ref: str,
                      entries: Iterable[tuple[str, str, int, int, Iterable[bytes]]]) -> UdiDescriptor:
     """Streaming writer. entries yields count tuples (path, kind, mode,
     content_len, content_chunks), already sorted by path; chunks must total
-    content_len. Each entry is written as it arrives. Writes to a temp file
-    in the destination directory and renames into place, so a crash or a
-    StorageIoError (a wrong entry count or content length) never leaves a
-    partial archive at dest_path.
+    content_len. Each entry is written to dest_path as it arrives. Raises
+    StorageIoError for a wrong entry count or content length and for a
+    failed write; dest_path is then left partial, for the caller to remove.
     """
     site_mods = tuple(site_mods)
     meta = _metadata_bytes(created_at, source_ref, site_mods)
     if len(meta) > _META_LIMIT:
         raise StorageIoError("metadata block too large")
-    dest_dir = os.path.dirname(os.path.abspath(dest_path)) or "."
-    fd, tmp = tempfile.mkstemp(prefix=".udi-", dir=dest_dir)
     try:
-        with os.fdopen(fd, "wb") as raw:
+        with open(dest_path, "wb") as raw:
             w = _HashingWriter(raw)
             w.write(_HEAD.pack(MAGIC, VERSION, len(meta)) + meta + _COUNT.pack(count))
             written = 0
@@ -157,13 +154,8 @@ def write_udi_stream(dest_path: str, created_at: float, source_ref: str,
             digest = w.sha.digest()
             raw.write(digest)
             size = w.written + TRAILER_LEN
-        os.replace(tmp, dest_path)
-        tmp = None
     except OSError as exc:
         raise StorageIoError(f"archive write failed: {exc}") from exc
-    finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
     return UdiDescriptor(path=dest_path, digest=digest.hex(), size_bytes=size,
                          created_at=created_at, source_ref=source_ref,
                          site_mods=site_mods)

