@@ -1,9 +1,9 @@
 """In-memory file trees, layer blobs, flattening, and site modification.
 
 A tree maps absolute normalized paths to entries (file, dir, or symlink).
-Registry layers are canonical-JSON blobs of such trees; flattening applies
-layers bottom-to-top with docker-style whiteout semantics, producing the
-single tree that later becomes the archive payload.
+Registry layers are blobs of such trees in an archive's entry-record format;
+flattening applies layers bottom-to-top with docker-style whiteout
+semantics, producing the single tree that later becomes the archive payload.
 
 Flatten rules, chosen to match what sequentially extracting each layer onto a
 real filesystem does (the property tests check exactly that):
@@ -38,13 +38,10 @@ checked.
 """
 from __future__ import annotations
 
-import base64
 import hashlib
-import json
 import posixpath
-from binascii import a2b_base64
+import struct
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import EmptyLayerList, MalformedLayer, ModConflict
@@ -199,57 +196,70 @@ class FileTree:
         return sha.hexdigest()
 
 
-# --- canonical blob codec ----------------------------------------------------
+# --- layer blob codec ---------------------------------------------------------
 
-def _json_str(text: str) -> bytes:
-    return encode_basestring_ascii(text).encode("ascii")
+# A layer blob is an archive's file table, as udi.py lays it out: raw
+# content bytes, paths strictly ascending, no byte after the last entry.
+KIND_CODES = {KIND_FILE: 0, KIND_DIR: 1, KIND_SYMLINK: 2}
+CODE_KINDS = {v: k for k, v in KIND_CODES.items()}
+ENTRY_COUNT = struct.Struct("<I")
+PATH_LEN = struct.Struct("<H")
+ENTRY_FIELDS = struct.Struct("<BHQ")  # kind code, mode, content length (after the path)
+
+
+def entry_stream(tree: FileTree) -> Iterator[tuple[str, str, int, int, tuple[bytes]]]:
+    """Per entry in path order: (path, kind, mode, length, (body,)), a symlink's body its target."""
+    for path, e in tree.items():
+        body = e.target.encode("utf-8") if e.kind == KIND_SYMLINK else e.content
+        yield path, e.kind, e.mode, len(body), (body,)
 
 
 def _blob_chunks(tree: FileTree) -> Iterator[bytes]:
-    """The canonical blob, one chunk per entry. The bytes are exactly
-    json.dumps({"entries": {path: rec}}, sort_keys=True,
-    separators=(",", ":")) with rec keys content_b64 < kind < mode < target,
-    written out by hand so no whole document is ever built."""
-    lead = b'{"entries":{'
-    for path, e in tree.items():
-        key = _json_str(path)
-        kind_mode = b'"kind":%s,"mode":%d' % (_json_str(e.kind), e.mode)
-        if e.kind == KIND_FILE:
-            rec = b'{"content_b64":"%s",%s}' % (base64.b64encode(e.content), kind_mode)
-        elif e.kind == KIND_SYMLINK:
-            rec = b'{%s,"target":%s}' % (kind_mode, _json_str(e.target))
-        else:
-            rec = b"{%s}" % kind_mode
-        yield b"%s%s:%s" % (lead, key, rec)
-        lead = b","
-    yield b"}}" if lead == b"," else b'{"entries":{}}'
+    yield ENTRY_COUNT.pack(len(tree))
+    for path, kind, mode, length, (body,) in entry_stream(tree):
+        pb = path.encode("utf-8")
+        yield PATH_LEN.pack(len(pb)) + pb + ENTRY_FIELDS.pack(KIND_CODES[kind], mode, length)
+        yield body
 
 
 def tree_to_blob(tree: FileTree) -> bytes:
-    """Canonical JSON serialization. Same tree always gives identical bytes,
-    which is what makes content digests meaningful."""
+    """Same tree always gives identical bytes, which is what makes content
+    digests meaningful."""
     return b"".join(_blob_chunks(tree))
 
 
 def tree_from_blob(data: bytes) -> FileTree:
-    try:
-        doc = json.loads(data.decode("utf-8"))
-        entries = doc["entries"]
-        if not isinstance(entries, dict):
-            raise TypeError("entries must be an object")
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
-        raise MalformedLayer(f"undecodable layer blob: {exc}") from exc
+    """Decode a layer blob, the gate for registry bytes. Raises MalformedLayer
+    and nothing else: for truncation, trailing bytes, an unknown kind code,
+    paths out of order or repeated, and all that normalize_path and
+    _check_entry refuse, such as non-UTF-8 bytes, decoded as lone surrogates."""
     tree = FileTree()
-    for path, rec in entries.items():
-        try:
-            kind = rec["kind"]
-            mode = rec["mode"]
-            content = a2b_base64(rec["content_b64"]) if "content_b64" in rec else b""
-            target = rec.get("target", "")
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedLayer(f"bad entry at {path!r}: {exc}") from exc
-        normalize_path(path)
-        tree._entries[path] = _check_entry(path, TreeEntry(kind, mode, content, target))
+    entries, size, last, i = tree._entries, len(data), "", 0
+    path_len_of, fields_of = PATH_LEN.unpack_from, ENTRY_FIELDS.unpack_from
+    try:
+        (count,) = ENTRY_COUNT.unpack_from(data)
+        pos = ENTRY_COUNT.size
+        for i in range(count):
+            (n,) = path_len_of(data, pos)
+            at = pos + 2 + n
+            path = data[pos + 2:at].decode("utf-8", "surrogateescape")
+            code, mode, length = fields_of(data, at)
+            at += ENTRY_FIELDS.size
+            pos = at + length
+            if pos > size:
+                raise MalformedLayer(f"truncated layer blob: content of entry {i}")
+            kind, body = CODE_KINDS.get(code, code), data[at:pos]
+            entry = (TreeEntry(kind, mode, b"", body.decode("utf-8", "surrogateescape"))
+                     if kind == KIND_SYMLINK else TreeEntry(kind, mode, body))
+            normalize_path(path)
+            if path <= last:
+                raise MalformedLayer(f"path out of order or repeated: {path!r} after {last!r}")
+            entries[path] = _check_entry(path, entry)
+            last = path
+    except struct.error:
+        raise MalformedLayer(f"truncated layer blob: header of entry {i}") from None
+    if pos != size:
+        raise MalformedLayer(f"{size - pos} bytes after the last entry of a layer blob")
     return tree
 
 

@@ -13,7 +13,7 @@ The hard-won rules encoded here:
     renewing; the sweeper fails anything whose lease lapsed, so a worker
     that dies silently can stall a record for at most one sweep interval
   * every layer blob is checked against its manifest digest once, in the
-    transfer step, before it is decoded, whichever registry served it
+    transfer step, before tree_from_blob decodes it, whatever served it
   * READY is reachable only through complete(), which re-verifies the
     written archive first and records its trailer digest; a record can
     never claim an artifact that does not check out, and every mount

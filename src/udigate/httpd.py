@@ -6,7 +6,8 @@ map onto a fixed status table: 401 for credential problems, 404 for
 unknown images or malformed references, 409 for damaged archives or
 persistence, 503 when the registry is down. Other bad requests are 400.
 An unexpected exception is logged and answered with 500, so the
-keep-alive connection survives it. A request body is read and ignored.
+keep-alive connection survives it. A request body is read and ignored. A
+connection idle for _JsonHandler.timeout is closed, mid-body after a 400.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ def _status_for(exc: Exception) -> int:
 
 class _JsonHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    timeout = 5.0  # seconds a socket read or write may wait before the connection is closed
 
     def log_message(self, fmt, *args):  # noqa: D102 - quiet by default
         log.debug("%s %s", self.address_string(), fmt % args)
@@ -87,8 +89,12 @@ class _JsonHandler(BaseHTTPRequestHandler):
             self.close_connection = True  # where the body ends is unknown
             raise ValueError(f"malformed Content-Length: {declared!r}")
         left = int(declared)
-        while left > 0 and (chunk := self.rfile.read(min(left, 64 * 1024))):
-            left -= len(chunk)
+        try:
+            while left > 0 and (chunk := self.rfile.read(min(left, 64 * 1024))):
+                left -= len(chunk)
+        except TimeoutError:
+            self.close_connection = True
+            raise ValueError(f"request body not sent within {self.timeout} s") from None
 
     def _credential(self) -> Credential | None:
         wire = self.headers.get(WIRE_HEADER)

@@ -5,7 +5,8 @@ can go down, corrupt a blob, or abort a transfer partway through either
 loudly (RegistryIoError) or silently (SilentAbort, which models the worker
 process dying mid-stream and reporting nothing). HttpRegistryClient speaks
 the same interface against the serving layout over HTTP. Neither checks a
-blob's digest: the gateway checks each layer, load_from_dir each blob file.
+blob's digest: the gateway checks each layer, load_from_dir each blob file,
+which it also decodes, so a file in an older layer format is refused at load.
 
 On-disk layout, one directory per image reference:
 
@@ -28,8 +29,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .errors import DigestMismatch, RegistryIoError, RegistryUnknownImage
-from .filetree import FileTree, blob_digest, tree_to_blob
+from .errors import DigestMismatch, MalformedLayer, RegistryIoError, RegistryUnknownImage
+from .filetree import FileTree, blob_digest, tree_from_blob, tree_to_blob
 
 
 class SilentAbort(Exception):
@@ -220,6 +221,10 @@ class LocalRegistry:
                         raise RegistryIoError(f"missing blob file for {d[:12]}: {exc}") from exc
                     if blob_digest(data) != d:
                         raise DigestMismatch(f"blob file {d[:12]} corrupted on disk")
+                    try:
+                        tree_from_blob(data)
+                    except MalformedLayer as exc:
+                        raise MalformedLayer(f"blob file {blob_path}: {exc}") from exc
                     reg._blobs[d] = data
         return reg
 

@@ -7,7 +7,7 @@ Layout, all integers little-endian:
     meta_len   u32
     metadata   meta_len bytes of canonical JSON (created_at, source_ref, site_mods)
     count      u32      file table entry count
-    entry *count, each:
+    entry *count, each (a layer blob is this table alone, see filetree.py):
         path_len    u16
         path        path_len bytes, UTF-8
         kind        u8   (0 file, 1 dir, 2 symlink)
@@ -35,7 +35,7 @@ and the file table; scan_udi is another name for it. verify_udi makes the
 same pass for a path or an in-memory image, never raises, and reports (ok,
 reason) and, on success, the trailer digest. The gateway gates READY on it
 and records that digest. read_udi reads a file once, verifies those bytes
-and loads the tree from them.
+and loads the tree from its file table, which is a layer blob.
 
 check_udi is the mount-time check: it parses nothing and requires the body
 hash to match both the stored trailer and the digest the gateway recorded.
@@ -50,10 +50,11 @@ import json
 import os
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import StorageIoError, UdiCorrupt
-from .filetree import (KIND_DIR, KIND_FILE, KIND_SYMLINK, FileTree, TreeEntry)
+from .filetree import (CODE_KINDS, ENTRY_COUNT, ENTRY_FIELDS, KIND_CODES, PATH_LEN, FileTree,
+                       entry_stream, tree_from_blob)
 
 MAGIC = b"UDI1"
 VERSION = 1
@@ -61,17 +62,11 @@ TRAILER_LEN = 32
 _FIXED_HEAD = len(MAGIC) + 2 + 4  # magic + version + meta_len
 MIN_SIZE = _FIXED_HEAD + 4 + TRAILER_LEN
 
-_KIND_CODE = {KIND_FILE: 0, KIND_DIR: 1, KIND_SYMLINK: 2}
-_CODE_KIND = {v: k for k, v in _KIND_CODE.items()}
-
 _META_LIMIT = 16 * 1024 * 1024
 _COUNT_LIMIT = 10_000_000
 _WINDOW = 1024 * 1024  # largest single read of an archive
 
 _HEAD = struct.Struct("<4sHI")          # magic, version, meta_len
-_COUNT = struct.Struct("<I")
-_PATH_LEN = struct.Struct("<H")
-_ENTRY_FIELDS = struct.Struct("<BHQ")   # kind, mode, content_len (after the path)
 
 
 @dataclass(frozen=True)
@@ -134,13 +129,13 @@ def write_udi_stream(dest_path: str, created_at: float, source_ref: str,
     try:
         with open(dest_path, "wb") as raw:
             w = _HashingWriter(raw)
-            w.write(_HEAD.pack(MAGIC, VERSION, len(meta)) + meta + _COUNT.pack(count))
+            w.write(_HEAD.pack(MAGIC, VERSION, len(meta)) + meta + ENTRY_COUNT.pack(count))
             written = 0
-            path_len, fields = _PATH_LEN.pack, _ENTRY_FIELDS.pack
+            path_len, fields = PATH_LEN.pack, ENTRY_FIELDS.pack
             for path, kind, mode, content_len, chunks in entries:
                 written += 1
                 pb = path.encode("utf-8")
-                w.write(path_len(len(pb)) + pb + fields(_KIND_CODE[kind], mode, content_len))
+                w.write(path_len(len(pb)) + pb + fields(KIND_CODES[kind], mode, content_len))
                 fed = 0
                 for chunk in chunks:
                     if chunk:
@@ -161,21 +156,10 @@ def write_udi_stream(dest_path: str, created_at: float, source_ref: str,
                          site_mods=site_mods)
 
 
-def _tree_entry_stream(tree: FileTree) -> Iterator[tuple[str, str, int, int, Iterable[bytes]]]:
-    for path, e in tree.items():
-        if e.kind == KIND_FILE:
-            yield path, e.kind, e.mode, len(e.content), (e.content,)
-        elif e.kind == KIND_SYMLINK:
-            tb = e.target.encode("utf-8")
-            yield path, e.kind, e.mode, len(tb), (tb,)
-        else:
-            yield path, e.kind, e.mode, 0, ()
-
-
 def write_udi(tree: FileTree, dest_path: str, source_ref: str, created_at: float,
               site_mods: Iterable[str] = ()) -> UdiDescriptor:
     return write_udi_stream(dest_path, created_at, source_ref, site_mods, len(tree),
-                            _tree_entry_stream(tree))
+                            entry_stream(tree))
 
 
 class _Reader:
@@ -284,15 +268,15 @@ def _parse(r: _Reader) -> tuple[tuple, list[tuple]]:
                 tuple(doc.get("site_mods", ())))
     except (TypeError, ValueError, UnicodeDecodeError) as exc:
         raise UdiCorrupt("metadata", str(exc))
-    pos = r.ensure(pos + meta_len, _COUNT.size, "count")
-    (count,) = _COUNT.unpack_from(r.buf, pos)
-    pos += _COUNT.size
+    pos = r.ensure(pos + meta_len, ENTRY_COUNT.size, "count")
+    (count,) = ENTRY_COUNT.unpack_from(r.buf, pos)
+    pos += ENTRY_COUNT.size
     if count > _COUNT_LIMIT:
         raise UdiCorrupt("truncated", "entry count exceeds limit")
 
     entries: list[tuple] = []
-    path_len_of, fields_of = _PATH_LEN.unpack_from, _ENTRY_FIELDS.unpack_from
-    fields = _ENTRY_FIELDS.size
+    path_len_of, fields_of = PATH_LEN.unpack_from, ENTRY_FIELDS.unpack_from
+    fields = ENTRY_FIELDS.size
     buf, limit = r.buf, r.limit
     for i in range(count):
         # the window calls below only run when a header or content
@@ -311,7 +295,7 @@ def _parse(r: _Reader) -> tuple[tuple, list[tuple]]:
         except UnicodeDecodeError as exc:
             raise UdiCorrupt("metadata", f"entry {i} path not utf-8: {exc}")
         kind_code, mode, content_len = fields_of(buf, fields_at)
-        kind = _CODE_KIND.get(kind_code)
+        kind = CODE_KINDS.get(kind_code)
         if kind is None:
             raise UdiCorrupt("metadata", f"entry {i} unknown kind {kind_code}")
         pos = fields_at + fields
@@ -391,23 +375,18 @@ def check_udi(path: str, expected: str) -> UdiCheck:
 
 def read_udi(path: str) -> tuple[FileTree, UdiDescriptor]:
     """Read the file once, verify those bytes as open_udi does and load the
-    whole tree from them. Raises UdiCorrupt, with the reason and the path,
-    if the archive does not verify or cannot be read."""
+    whole tree from them: the file table is a layer blob, which
+    tree_from_blob decodes. Raises UdiCorrupt, with the reason and the path,
+    if the archive does not verify or cannot be read, and MalformedLayer
+    for a table that tree_from_blob refuses."""
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        (meta, entries), size, stored = _forward(data, _parse)
+        (meta, _), size, stored = _forward(data, _parse)
     except OSError as exc:
         raise UdiCorrupt("io", path) from exc
     except UdiCorrupt as exc:
         raise UdiCorrupt(exc.reason, path) from exc
-    tree = FileTree()
-    for entry_path, kind, mode, length, offset in entries:
-        content = data[offset:offset + length]
-        if kind == KIND_FILE:
-            tree.set_entry(entry_path, TreeEntry(KIND_FILE, mode, content))
-        elif kind == KIND_SYMLINK:
-            tree.set_entry(entry_path, TreeEntry(KIND_SYMLINK, mode, b"", content.decode("utf-8")))
-        else:
-            tree.set_entry(entry_path, TreeEntry(KIND_DIR, mode))
+    table = _FIXED_HEAD + _HEAD.unpack_from(data)[2]
+    tree = tree_from_blob(data[table:size - TRAILER_LEN])
     return tree, UdiDescriptor(path, stored.hex(), size, *meta)

@@ -8,6 +8,7 @@ import errno
 import os
 import posixpath
 import shutil
+import struct
 
 from udigate.bench import BenchRow
 from udigate.filetree import (
@@ -44,6 +45,22 @@ def payload_tree(marker: bytes = b"payload") -> FileTree:
     t.add_file("/srv/data.bin", marker * 8)
     t.add_symlink("/srv/current", "data.bin")
     return t
+
+
+KIND_CODES = {"file": 0, "dir": 1, "symlink": 2}
+
+
+def entry_record(path: bytes, kind_code: int, mode: int, body: bytes = b"") -> bytes:
+    """One entry of a layer blob packed by hand from the format description
+    (u16 path length, path, u8 kind, u16 mode, u64 length, body), so a test
+    can build blobs that the package's encoder never writes."""
+    return (struct.pack("<H", len(path)) + path
+            + struct.pack("<BHQ", kind_code, mode, len(body)) + body)
+
+
+def layer_blob(*records: bytes) -> bytes:
+    """A u32 count, then the records as given."""
+    return struct.pack("<I", len(records)) + b"".join(records)
 
 
 def _safe_add(tree: FileTree, path: str, kind: str, rng) -> None:

@@ -5,16 +5,15 @@ on a staging directory (tests/helpers.py) and demands byte-for-byte
 agreement with the pure-tree implementation.
 """
 
-import base64
 import hashlib
-import json
 import posixpath
 import random
 import time
 
 import pytest
 
-from helpers import EDGE_NAME_POOL, materialize_stack, random_stack, read_back_tree, tiny_tree
+from helpers import (EDGE_NAME_POOL, KIND_CODES, entry_record, layer_blob, materialize_stack,
+                     payload_tree, random_stack, read_back_tree, tiny_tree)
 from udigate import filetree
 from udigate.errors import EmptyLayerList, MalformedLayer, ModConflict
 from udigate.filetree import (
@@ -77,7 +76,9 @@ def _old_normalize_path(path):
 
 
 def _file_blob(path):
-    return json.dumps({"entries": {path: {"kind": "file", "mode": 0o644}}}).encode()
+    # surrogatepass: a lone surrogate reaches the blob as the bytes that
+    # encode it, which are not UTF-8
+    return layer_blob(entry_record(path.encode("utf-8", "surrogatepass"), 0, 0o644))
 
 
 def _assert_normalizes_like_old(path):
@@ -92,7 +93,7 @@ def _assert_normalizes_like_old(path):
         return
     with pytest.raises(MalformedLayer):
         normalize_path(path)
-    if isinstance(path, str):  # a blob's paths are JSON object keys, always str
+    if isinstance(path, str):  # a blob's paths are bytes, so only a str has one
         with pytest.raises(MalformedLayer):
             tree_from_blob(_file_blob(path))
 
@@ -178,23 +179,22 @@ def test_blob_roundtrip_and_digest_stability():
 
 
 def _reference_blob(tree: FileTree) -> bytes:
-    entries = {}
-    for path, e in tree.items():
-        rec = {"kind": e.kind, "mode": e.mode}
-        if e.kind == "file":
-            rec["content_b64"] = base64.b64encode(e.content).decode("ascii")
-        elif e.kind == "symlink":
-            rec["target"] = e.target
-        entries[path] = rec
-    return json.dumps({"entries": entries}, sort_keys=True,
-                      separators=(",", ":")).encode()
+    """The blob written from the format description: entries in ascending
+    order of their UTF-8 path bytes, a symlink's body its UTF-8 target."""
+    records = []
+    for path in sorted(tree.paths(), key=lambda p: p.encode("utf-8")):
+        e = tree.get(path)
+        body = e.target.encode("utf-8") if e.kind == "symlink" else e.content
+        records.append(entry_record(path.encode("utf-8"), KIND_CODES[e.kind], e.mode, body))
+    return layer_blob(*records)
 
 
-def test_blob_encoder_matches_json_dumps():
-    names = ["a", "Z", "é", "日本", "\U0001F600", 'q"uote', "back\\slash", "tab\t", "\u007f"]
+def test_blob_encoder_matches_struct_reference():
+    names = ["a", "Z", "é", "日本", "\U0001F600", 'q"uote', "back\\slash", "tab\t", "\u007f",
+             "\uffff", "\U0010ffff", "a b"]
     targets = ['../x"y', "c:\\dir\\", "ünï\\\"", "\U0001F4A9/\n"]
     rng = random.Random(7)
-    assert tree_to_blob(FileTree()) == _reference_blob(FileTree())
+    assert tree_to_blob(FileTree()) == _reference_blob(FileTree()) == b"\0\0\0\0"
     for _ in range(200):
         t = FileTree()
         for _ in range(rng.randrange(1, 12)):
@@ -202,7 +202,7 @@ def test_blob_encoder_matches_json_dumps():
             kind = rng.choice(("file", "dir", "symlink"))
             if kind == "file":
                 t.add_file(path, rng.randbytes(rng.randrange(0, 40)),
-                           mode=rng.choice((0o644, 0o600, 0o755, 0)))
+                           mode=rng.choice((0o644, 0o600, 0o755, 0, 0o7777)))
             elif kind == "dir":
                 t.add_dir(path, mode=rng.choice((0o755, 0o700, 0o1777)))
             else:
@@ -210,6 +210,7 @@ def test_blob_encoder_matches_json_dumps():
         ref = _reference_blob(t)
         assert tree_to_blob(t) == ref
         assert t.digest() == hashlib.sha256(ref).hexdigest()
+        assert tree_from_blob(ref) == t
 
 
 def test_tree_from_blob_rejects_garbage():
@@ -231,11 +232,71 @@ def test_tree_from_blob_rejects_garbage():
 ], ids=repr)
 def test_both_gates_reject_mistyped_fields(rec):
     # a mistyped field must stop at the gate: past it, the tree digest and
-    # the archive writer take a str target and an int mode on trust
-    with pytest.raises(MalformedLayer):
-        tree_from_blob(json.dumps({"entries": {"/x": rec}}).encode())
+    # the archive writer take a str target and an int mode on trust. A blob
+    # holds integers and bytes, so the blob gate's half is the next test:
+    # each field that decodes to a value of the right type but a bad one
     with pytest.raises(MalformedLayer):
         FileTree().set_entry("/x", TreeEntry(rec["kind"], rec["mode"], b"", rec.get("target", "")))
+
+
+@pytest.mark.parametrize("records, message", [
+    ([entry_record(b"/x", 0, 0o10000)], "mode not an integer in 0..0o7777"),
+    ([entry_record(b"/x", 1, 0xFFFF)], "mode not an integer in 0..0o7777"),
+    ([entry_record(b"/x", 1, 0o755, b"data")], "dir with content"),
+    ([entry_record(b"/x", 2, 0o777)], "symlink without target"),
+    ([entry_record(b"/x", 2, 0o777, b"bad\xed\xa0\x80")], "symlink target not valid UTF-8"),
+    ([entry_record(b"/x", 2, 0o777, b"\xff")], "symlink target not valid UTF-8"),
+    ([entry_record(b"/x", 3, 0o644)], "unknown kind 3"),
+    ([entry_record(b"/\xc3", 0, 0o644)], "path not valid UTF-8"),
+    ([entry_record(b"x", 0, 0o644)], "path not absolute"),
+    ([entry_record(b"/a/../b", 0, 0o644)], "bad path segment"),
+    ([entry_record(b"/b", 0, 0o644), entry_record(b"/a", 0, 0o644)], "out of order or repeated"),
+    ([entry_record(b"/a", 0, 0o644), entry_record(b"/a", 0, 0o644)], "out of order or repeated"),
+], ids=["file-mode", "dir-mode", "dir-content", "empty-target", "surrogate-target",
+        "byte-target", "kind-code", "path-utf8", "relative", "dotdot", "order", "duplicate"])
+def test_blob_gate_names_the_bad_field(records, message):
+    with pytest.raises(MalformedLayer, match=message):
+        tree_from_blob(layer_blob(*records))
+
+
+def test_blob_gate_refuses_truncated_and_trailing_bytes():
+    good = layer_blob(entry_record(b"/a", 0, 0o644, b"abc"))
+    assert tree_from_blob(good).get("/a").content == b"abc"
+    for cut, message in ((0, "header of entry 0"), (3, "header of entry 0"),
+                         (5, "header of entry 0"), (len(good) - 4, "header of entry 0"),
+                         (len(good) - 1, "content of entry 0")):
+        with pytest.raises(MalformedLayer, match=message):
+            tree_from_blob(good[:cut])
+    with pytest.raises(MalformedLayer, match="header of entry 1"):
+        tree_from_blob(b"\2" + good[1:])
+    with pytest.raises(MalformedLayer, match="1 bytes after the last entry"):
+        tree_from_blob(good + b"\0")
+    with pytest.raises(MalformedLayer, match="bytes after the last entry"):
+        tree_from_blob(layer_blob() + good)
+
+
+def test_every_cut_and_byte_flip_decodes_or_is_malformed():
+    # the gate's contract: MalformedLayer and no other exception, whatever
+    # the bytes; a flip may still decode, to a tree the gate accepted
+    layer = payload_tree()
+    layer.add_dir("/\u65e5")
+    layer.add_file("/\u65e5/\u00e9", b"\x00\xff", mode=0o7777)
+    data = tree_to_blob(layer)
+    assert tree_from_blob(data) == layer
+    mutants = [data[:cut] for cut in range(len(data))]
+    mutants += [data[:i] + bytes([data[i] ^ flip]) + data[i + 1:]
+                for i in range(len(data)) for flip in (0x01, 0x80, 0xFF)]
+    decoded = 0
+    for blob in mutants:
+        try:
+            tree = tree_from_blob(blob)
+        except MalformedLayer:
+            continue
+        decoded += 1
+        for path, entry in tree.items():  # what decodes passed both checks
+            assert normalize_path(path) == path
+            FileTree().set_entry(path, entry)
+    assert 0 < decoded < len(mutants)
 
 
 def test_flatten_empty_rejected():

@@ -1,6 +1,5 @@
 """Gateway state machine, single-flight, leases, recovery, and expiry."""
 
-import json
 import logging
 import os
 import threading
@@ -8,7 +7,7 @@ import threading
 import pytest
 
 import udigate.gateway
-from helpers import FailingWrite, append_unusable_entries
+from helpers import FailingWrite, append_unusable_entries, entry_record, layer_blob
 from udigate.authsvc import CredentialVerifier, issue_credential
 from udigate.clock import Tracer, VirtualClock
 from udigate.errors import (
@@ -24,7 +23,7 @@ from udigate.filetree import FileTree, blob_digest
 from udigate.gateway import Gateway, ImageState
 from udigate.refs import parse_reference
 from udigate.httpd import make_registry_server
-from udigate.registry import HttpRegistryClient, LocalRegistry
+from udigate.registry import HttpRegistryClient, LocalRegistry, Manifest
 from udigate.store import RecordLog
 from udigate.udi import UdiCheck, check_udi, scan_udi, verify_udi, write_udi
 
@@ -195,21 +194,17 @@ def test_corrupt_layer_fails_the_pull_at_transfer(served, fast_cfg, tmp_path):
         gw.close()
 
 
-@pytest.mark.parametrize("rec", [
-    {"kind": "symlink", "mode": 0o777, "target": 5},
-    {"kind": "file", "mode": 1.9},
-], ids=["int-target", "float-mode"])
-def test_mistyped_layer_entry_fails_the_pull(fast_cfg, tmp_path, rec):
-    # a registry on disk whose one layer has a well-formed JSON entry of the
-    # wrong types: the pull must end FAILED, not raise out of the step runner
-    blob = json.dumps({"entries": {"/x": rec}}, sort_keys=True).encode()
-    digest = blob_digest(blob)
-    img_dir = tmp_path / "registry" / "app" / "alpha:v1"
-    (img_dir / "blobs").mkdir(parents=True)
-    (img_dir / "blobs" / digest).write_bytes(blob)
-    (img_dir / "manifest.json").write_text(json.dumps(
-        {"name": "app/alpha", "tag": "v1", "layers": [digest], "total_size": len(blob)}))
-    registry = LocalRegistry.load_from_dir(str(tmp_path / "registry"))
+@pytest.mark.parametrize("record", [
+    entry_record(b"/x", 2, 0o777),
+    entry_record(b"/x", 0, 0o10000),
+], ids=["empty-target", "high-mode"])
+def test_malformed_layer_entry_fails_the_pull(fast_cfg, tmp_path, record):
+    # a registry serving a layer, digest intact, whose one entry the blob
+    # gate refuses: the pull must end FAILED, not raise out of the step runner
+    blob = layer_blob(record)
+    registry = LocalRegistry()  # load_from_dir would refuse the blob itself
+    registry._blobs[blob_digest(blob)] = blob
+    registry._images[REF.canonical()] = Manifest("app/alpha", "v1", (blob_digest(blob),), len(blob))
     clock = VirtualClock()
     gw = Gateway(fast_cfg, clock, registry, str(tmp_path / "state"))
     try:

@@ -2,7 +2,9 @@
 
 import http.client
 import json
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -17,6 +19,7 @@ from udigate.authsvc import (
 )
 from udigate.clock import SystemClock
 from udigate.gateway import Gateway
+from udigate import httpd
 from udigate.httpd import make_gateway_server, make_registry_server
 from udigate.registry import HttpRegistryClient, LocalRegistry
 from udigate.service import GatewayRuntime
@@ -196,6 +199,39 @@ def test_malformed_content_length_is_json_400(gw_rig, length):
             "error": "ValueError", "detail": f"malformed Content-Length: {length!r}"}
     finally:
         conn.close()
+
+
+def _read_until_closed(sock) -> bytes:
+    data = b""
+    while chunk := sock.recv(4096):
+        data += chunk
+    return data
+
+
+def test_idle_and_bodiless_connections_are_closed(gw_rig, monkeypatch):
+    # the handler's socket timeout, cut short: a keep-alive client that goes
+    # quiet, and a POST whose declared body never comes, each lose the
+    # connection, and no handler thread ends in an error
+    assert 1 <= httpd._JsonHandler.timeout <= 10
+    monkeypatch.setattr(httpd._JsonHandler, "timeout", 0.2)
+    errors = []
+    monkeypatch.setattr(httpd.ThreadingHTTPServer, "handle_error",
+                        lambda srv, request, address: errors.append(address))
+    port, _, _ = gw_rig
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as idle:
+        t0 = time.monotonic()
+        idle.sendall(b"GET /api/lookup/local/team/app:v1 HTTP/1.1\r\nHost: x\r\n\r\n")
+        answer = _read_until_closed(idle)
+        assert answer.startswith(b"HTTP/1.1 404 ")  # nothing pulled yet
+        assert time.monotonic() - t0 < 3
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as bodiless:
+        bodiless.sendall(b"POST /api/pull/local/team/app:v1 HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: 5\r\n\r\n")
+        answer = _read_until_closed(bodiless)
+        assert answer.startswith(b"HTTP/1.1 400 ")
+        assert b"request body not sent within 0.2 s" in answer
+    assert errors == []
+
 
 # -- registry ---------------------------------------------------------------------
 

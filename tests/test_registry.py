@@ -1,9 +1,11 @@
 """Registry fixture behavior: manifests, fault injection, disk layout."""
 
+import json
+
 import pytest
 
 from helpers import payload_tree, tiny_tree
-from udigate.errors import DigestMismatch, RegistryIoError, RegistryUnknownImage
+from udigate.errors import DigestMismatch, MalformedLayer, RegistryIoError, RegistryUnknownImage
 from udigate.filetree import blob_digest, tree_to_blob
 from udigate.registry import HttpRegistryClient, LocalRegistry, Manifest, SilentAbort
 
@@ -97,6 +99,24 @@ def test_load_dir_rejects_corrupt_blob(reg, tmp_path):
     blob.write_bytes(b"tampered")
     with pytest.raises(DigestMismatch):
         LocalRegistry.load_from_dir(str(tmp_path))
+
+
+def test_load_dir_refuses_a_json_era_blob(tmp_path):
+    # a layer as registry directories held them before blobs became entry
+    # records: its digest matches, and loading must still refuse it, naming
+    # the file, rather than let the first pull find it
+    blob = json.dumps({"entries": {"/etc/motd": {"content_b64": "aGk=", "kind": "file",
+                                                 "mode": 420}}},
+                      sort_keys=True, separators=(",", ":")).encode()
+    digest = blob_digest(blob)
+    img_dir = tmp_path / "team" / "app:v1"
+    (img_dir / "blobs").mkdir(parents=True)
+    (img_dir / "blobs" / digest).write_bytes(blob)
+    (img_dir / "manifest.json").write_text(json.dumps(
+        {"name": "team/app", "tag": "v1", "layers": [digest], "total_size": len(blob)}))
+    with pytest.raises(MalformedLayer) as exc_info:
+        LocalRegistry.load_from_dir(str(tmp_path))
+    assert str(img_dir / "blobs" / digest) in str(exc_info.value)
 
 
 def test_load_missing_root():
