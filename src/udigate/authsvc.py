@@ -14,7 +14,18 @@ Canonical payload layout (little-endian throughout):
     issued_at  f64
     nonce      16 raw bytes
 
-wire form = base64(payload || mac). When a node's authenticator is down,
+wire form = base64(payload || mac). A Credential builds its payload once,
+on first use, and keeps it: it is a value of the credential's fields. A
+CredentialVerifier keys one HMAC object with its secret when it is made
+(the precomputed inner and outer pads of RFC 2104, section 4) and copies
+that keyed state for each verify, so every verify still computes the full
+MAC over the payload and checks expiry against the verifier's own clock.
+Nothing caches a verification result.
+
+A credential whose issued_at is not finite is expired: NaN compares false
+with every age limit, and an infinite issue time would never age.
+
+When a node's authenticator is down,
 its agent raises AuthServiceDown, which callers must keep distinct from
 MacMismatch: "the authenticator is down" must never be reported as "your
 credential is bad".
@@ -24,9 +35,11 @@ from __future__ import annotations
 import base64
 import hashlib
 import hmac
+import math
 import secrets
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .errors import CredentialExpired, MacMismatch
@@ -60,7 +73,9 @@ class Credential:
     nonce: bytes
     mac: bytes
 
+    @cached_property
     def payload(self) -> bytes:
+        """The canonical payload, built on first use and kept."""
         return canonical_payload(self.uid, self.gids, self.scope, self.issued_at, self.nonce)
 
 
@@ -92,21 +107,32 @@ def issue_credential(uid: int, gids: Sequence[int], scope: str, secret: bytes,
     ordered = tuple(sorted({int(g) for g in gids}))
     payload = canonical_payload(uid, ordered, scope, now, nonce)
     mac = hmac.new(secret, payload, hashlib.sha256).digest()
-    return Credential(uid=uid, gids=ordered, scope=scope, issued_at=now, nonce=nonce, mac=mac)
+    cred = Credential(uid=uid, gids=ordered, scope=scope, issued_at=now, nonce=nonce, mac=mac)
+    vars(cred)["payload"] = payload  # where cached_property keeps it: built once
+    return cred
+
+
+def _verify(cred: Credential, keyed, now: float, ttl: float) -> Principal:
+    """The one MAC-and-expiry check. keyed is an HMAC-SHA256 object keyed
+    with the secret and fed nothing; a copy of it MACs the payload."""
+    mac = keyed.copy()
+    mac.update(cred.payload)
+    if not hmac.compare_digest(mac.digest(), cred.mac):
+        raise MacMismatch("credential MAC mismatch")
+    if not math.isfinite(cred.issued_at):
+        raise CredentialExpired(f"credential issue time {cred.issued_at} is not finite")
+    age = now - cred.issued_at
+    if age > ttl:
+        raise CredentialExpired(f"credential issued {age:.1f}s ago exceeds ttl {ttl:.0f}s")
+    return Principal(cred.uid, cred.gids, cred.scope)
 
 
 def verify_credential(cred: Credential, secret: bytes, now: float, ttl: float) -> Principal:
-    expect = hmac.new(secret, cred.payload(), hashlib.sha256).digest()
-    if not hmac.compare_digest(expect, cred.mac):
-        raise MacMismatch("credential MAC mismatch")
-    if now - cred.issued_at > ttl:
-        raise CredentialExpired(
-            f"credential issued {now - cred.issued_at:.1f}s ago exceeds ttl {ttl:.0f}s")
-    return Principal(uid=cred.uid, gids=cred.gids, scope=cred.scope)
+    return _verify(cred, hmac.new(secret, digestmod=hashlib.sha256), now, ttl)
 
 
 def credential_to_wire(cred: Credential) -> str:
-    return base64.b64encode(cred.payload() + cred.mac).decode("ascii")
+    return base64.b64encode(cred.payload + cred.mac).decode("ascii")
 
 
 def credential_from_wire(text: str) -> Credential:
@@ -148,9 +174,9 @@ class CredentialVerifier:
     """
 
     def __init__(self, secret: bytes, ttl: float, clock):
-        self.secret = secret
         self.ttl = ttl
         self.clock = clock
+        self._keyed = hmac.new(secret, digestmod=hashlib.sha256)
 
     def verify(self, cred: Credential) -> Principal:
-        return verify_credential(cred, self.secret, self.clock.now(), self.ttl)
+        return _verify(cred, self._keyed, self.clock.now(), self.ttl)

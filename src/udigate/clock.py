@@ -4,10 +4,16 @@ The simulator runs on a discrete-event clock: events are (time, priority, seq)
 ordered, so two runs with the same seed execute the same events in the same
 order and produce byte-identical traces. seq is the global scheduling counter,
 it breaks ties deterministically without comparing callbacks.
+
+The heap holds (time, priority, seq, handle) tuples. seq is unique, so heap
+order is decided by the first three fields, compared in C, and never
+reaches the handle. Times are finite: a NaN or infinite time is refused at
+scheduling, since it would have no place in that order.
 """
 from __future__ import annotations
 
 import heapq
+import math
 import time as _time
 from typing import Callable, Iterable, Optional
 
@@ -22,60 +28,59 @@ class SystemClock:
 
 
 class EventHandle:
-    __slots__ = ("time", "priority", "seq", "fn", "cancelled")
+    """A scheduled callback; cancel() makes the loop skip it."""
 
-    def __init__(self, time: float, priority: int, seq: int, fn: Callable[[], None]):
-        self.time = time
-        self.priority = priority
-        self.seq = seq
+    __slots__ = ("fn", "cancelled")
+
+    def __init__(self, fn: Callable[[], None]):
         self.fn = fn
         self.cancelled = False
 
     def cancel(self) -> None:
         self.cancelled = True
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.priority, self.seq) < (other.time, other.priority, other.seq)
-
 
 class VirtualClock:
     def __init__(self):
         self._now = 0.0
-        self._heap: list[EventHandle] = []
+        self._heap: list[tuple[float, int, int, EventHandle]] = []
         self._seq = 0
 
     def now(self) -> float:
         return self._now
 
     def schedule(self, delay: float, fn: Callable[[], None], priority: int = 10) -> EventHandle:
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
+        if not 0 <= delay < math.inf:
+            raise ValueError(f"delay must be finite and >= 0, got {delay}")
         return self.schedule_at(self._now + delay, fn, priority)
 
     def schedule_at(self, when: float, fn: Callable[[], None], priority: int = 10) -> EventHandle:
+        if not math.isfinite(when):
+            raise ValueError(f"event time must be finite, got {when}")
         if when < self._now:
             raise ValueError(f"scheduling into the past: {when} < {self._now}")
-        ev = EventHandle(when, priority, self._seq, fn)
+        ev = EventHandle(fn)
+        heapq.heappush(self._heap, (when, priority, self._seq, ev))
         self._seq += 1
-        heapq.heappush(self._heap, ev)
         return ev
 
     def advance(self, dt: float) -> None:
         """Move time forward without running events (used by property drivers)."""
-        if dt < 0:
-            raise ValueError("cannot advance backwards")
+        if not 0 <= dt < math.inf:
+            raise ValueError(f"can only advance by a finite dt >= 0, got {dt}")
         self._now += dt
 
     def run_until_idle(self) -> int:
         """Run events in order until the queue drains. Returns events run."""
         ran = 0
-        while self._heap:
-            ev = heapq.heappop(self._heap)
+        heap, pop = self._heap, heapq.heappop
+        while heap:
+            when, _, _, ev = pop(heap)
             if ev.cancelled:
                 continue
             if ran >= MAX_EVENTS:
                 raise RuntimeError(f"event budget exhausted at t={self._now}")
-            self._now = ev.time
+            self._now = when
             ev.fn()
             ran += 1
         return ran
@@ -83,11 +88,11 @@ class VirtualClock:
     def run_until(self, deadline: float) -> int:
         """Run events with time <= deadline, then set now to the deadline."""
         ran = 0
-        while self._heap and self._heap[0].time <= deadline:
-            ev = heapq.heappop(self._heap)
+        while self._heap and self._heap[0][0] <= deadline:
+            when, _, _, ev = heapq.heappop(self._heap)
             if ev.cancelled:
                 continue
-            self._now = ev.time
+            self._now = when
             ev.fn()
             ran += 1
         if deadline > self._now:
@@ -112,8 +117,8 @@ class Tracer:
         self.lines: list[str] = []
 
     def emit(self, t: float, entity: str, event: str, details: Iterable[tuple[str, object]] = ()) -> None:
-        body = " ".join(f"{k}={v}" for k, v in details)
-        self.lines.append(f"{fmt_time(t)}\t{entity}\t{event}\t{body}")
+        body = " ".join([f"{k}={v}" for k, v in details])
+        self.lines.append(f"{t:.6f}\t{entity}\t{event}\t{body}")
 
     def text(self) -> str:
         return "\n".join(self.lines) + ("\n" if self.lines else "")

@@ -162,6 +162,18 @@ def write_udi(tree: FileTree, dest_path: str, source_ref: str, created_at: float
                             entry_stream(tree))
 
 
+def _read_exact(fh, n: int) -> bytes:
+    """n bytes from the unbuffered file fh, fewer only at its end: a read
+    that returns short is read again."""
+    data = fh.read(n)
+    while len(data) < n:
+        more = fh.read(n - len(data))
+        if not more:
+            break
+        data += more
+    return data
+
+
 class _Reader:
     """Forward-only window over an archive body that hashes every body byte.
 
@@ -169,7 +181,8 @@ class _Reader:
     one read of its size) is a single window, hashed in one call at the
     end. A larger file is read front to back in windows of at most _WINDOW
     bytes, each fed to the hash as it arrives, so every body byte is read
-    and hashed exactly once. No read crosses into the trailer.
+    and hashed exactly once. No read crosses into the trailer. The file is
+    unbuffered; _read_exact reads a short read again.
 
     The parser keeps its cursor as a position in buf; buf[:limit] are body
     bytes, and a window move returns the cursor's new position.
@@ -190,7 +203,7 @@ class _Reader:
 
     def _read_window(self) -> bytes:
         n = min(_WINDOW, self.body_end - self.read_to)
-        data = self.fh.read(n)
+        data = _read_exact(self.fh, n)
         if len(data) != n:
             raise UdiCorrupt("truncated", "short read")
         self.sha.update(data)
@@ -237,7 +250,7 @@ class _Reader:
             stored = self.buf[self.body_end:]
             computed = hashlib.sha256(memoryview(self.buf)[:self.body_end]).digest()
         else:
-            stored = self.fh.read(TRAILER_LEN)
+            stored = _read_exact(self.fh, TRAILER_LEN)
             if len(stored) != TRAILER_LEN:
                 raise UdiCorrupt("truncated", "trailer short read")
             computed = self.sha.digest()
@@ -318,18 +331,19 @@ def _skip_body(r: _Reader) -> None:
 def _forward(source, walk):
     """The one read path: walk the body of source (a path, or the image
     itself as bytes) through a _Reader, hashing every body byte, and
-    require the hash to equal the stored trailer. A file of at most _WINDOW
-    bytes is taken in one read of its size, a larger one in windows.
+    require the hash to equal the stored trailer. The file is opened
+    unbuffered: a file of at most _WINDOW bytes is taken in one read of
+    its size, a larger one in windows, and neither needs a buffer between.
     Returns _Reader.run's triple. Raises UdiCorrupt; reason io when the
     file cannot be read."""
     if isinstance(source, (bytes, bytearray)):
         return _Reader(None, source, len(source)).run(walk)
     try:
-        with open(source, "rb") as fh:
+        with open(source, "rb", buffering=0) as fh:
             size = os.fstat(fh.fileno()).st_size
             if size > _WINDOW:
                 return _Reader(fh, None, size).run(walk)
-            data = fh.read(size)
+            data = _read_exact(fh, size)
     except OSError as exc:
         raise UdiCorrupt("io", str(exc)) from exc
     return _Reader(None, data, len(data)).run(walk)

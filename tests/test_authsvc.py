@@ -11,6 +11,7 @@ import struct
 
 import pytest
 
+import udigate.authsvc
 from udigate.authsvc import (
     NONCE_LEN,
     Credential,
@@ -46,7 +47,7 @@ def test_payload_layout_matches_hand_assembly():
 
 def test_mac_is_hmac_sha256_over_payload():
     c = _cred()
-    assert c.mac == hmac.new(SECRET, c.payload(), hashlib.sha256).digest()
+    assert c.mac == hmac.new(SECRET, c.payload, hashlib.sha256).digest()
 
 
 def test_roundtrip_verify():
@@ -101,7 +102,7 @@ def test_wire_roundtrip():
 def test_wire_is_base64_of_payload_plus_mac():
     c = _cred()
     raw = base64.b64decode(credential_to_wire(c))
-    assert raw == c.payload() + c.mac
+    assert raw == c.payload + c.mac
 
 
 @pytest.mark.parametrize("garbage", ["", "!!!", "AAAA", "a" * 500,
@@ -137,3 +138,27 @@ def test_issue_with_seeded_rng_is_deterministic():
     assert a == b
     c = issue_credential(5, (9,), "user", SECRET, now=2.0, rng=random.Random(4))
     assert a != c
+
+
+@pytest.mark.parametrize("issued_at", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_issue_time_is_expired(issued_at):
+    c = issue_credential(1000, (100,), "user", SECRET, now=issued_at)
+    verifier = CredentialVerifier(SECRET, ttl=300.0, clock=VirtualClock())
+    for cred in (c, credential_from_wire(credential_to_wire(c))):
+        with pytest.raises(CredentialExpired):
+            verify_credential(cred, SECRET, now=1e12, ttl=300.0)
+        with pytest.raises(CredentialExpired):
+            verifier.verify(cred)
+
+
+def test_payload_is_built_once_per_credential(monkeypatch):
+    builds = []
+    real = udigate.authsvc.canonical_payload
+    monkeypatch.setattr(udigate.authsvc, "canonical_payload",
+                        lambda *args: builds.append(args) or real(*args))
+    v = CredentialVerifier(SECRET, ttl=300.0, clock=VirtualClock())
+    issued = issue_credential(1, (1,), "user", SECRET, now=0.0)
+    parsed = credential_from_wire(credential_to_wire(issued))
+    for _ in range(3):
+        assert v.verify(issued).uid == v.verify(parsed).uid == 1
+    assert len(builds) == 2  # one per Credential object

@@ -1,3 +1,5 @@
+import pytest
+
 from udigate.clock import NullTracer, SystemClock, Tracer, VirtualClock, fmt_time
 
 
@@ -101,3 +103,32 @@ def test_fmt_time_is_six_decimal_places():
 def test_null_tracer_swallows():
     nt = NullTracer()
     nt.emit(1.0, "x", "y", [("k", "v")])  # must not raise
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1.0])
+def test_schedule_refuses_non_finite_or_negative_delay(bad):
+    c = VirtualClock()
+    fired = []
+    c.schedule(0.5, lambda: fired.append(0.5))
+    with pytest.raises(ValueError):
+        c.schedule(bad, lambda: fired.append("bad"))
+    with pytest.raises(ValueError):
+        c.advance(bad)
+    c.schedule(1.0, lambda: fired.append(1.0))
+    c.run_until_idle()
+    assert fired == [0.5, 1.0] and c.now() == 1.0
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_schedule_at_refuses_non_finite_time(bad):
+    c = VirtualClock()
+    with pytest.raises(ValueError):
+        c.schedule_at(bad, lambda: None)
+    assert c.run_until_idle() == 0 and c.now() == 0.0
+
+
+def test_delay_that_overflows_time_is_refused():
+    c = VirtualClock()
+    c.advance(1e308)
+    with pytest.raises(ValueError):
+        c.schedule(1e308, lambda: None)

@@ -9,12 +9,17 @@ import hashlib
 
 import pytest
 
-from test_cluster import _trace_for
+from test_cluster import _trace_for, directive_spec, seeded_registry
 from udigate.chaos import run_all
 from udigate.cli import main
+from udigate.cluster import ClusterSim
+from udigate.config import Config
 
 # two jobs on 8 nodes, seed 11, a Directive job and a PerCommand job: 3,867 bytes
 CLUSTER_TRACE_SHA256 = "96b5208a001ba36b6d56935b0848151167ae63c603a1c9800ba09ca12c3547f0"
+# one Directive job on 1,024 nodes, seed 11, default Config: more nodes than
+# identity_cap (500), so group lookups queue; 239,418 bytes, 4,112 lines
+LARGE_JOB_TRACE_SHA256 = "e23cb92e2456045a2e63852f957526b27f1b4d7387ad3675e079e753496b85e7"
 # every chaos scenario, seed 1, traces concatenated in scenario order
 CHAOS_TRACE_SHA256 = "276195748d0642a56570aa11cdcdf39c10b283c65c95a3eb2ed567842756385d"
 # bench startup --nodes 1,8,64 --ranks 1,4 --image a:b=1e8 --image c:d=3e9
@@ -31,6 +36,18 @@ def _sha256(text: str) -> str:
 
 def test_cluster_trace_matches_golden(tmp_path):
     assert _sha256(_trace_for(11, tmp_path, "golden")) == CLUSTER_TRACE_SHA256
+
+
+def test_large_job_trace_matches_golden(tmp_path):
+    sim = ClusterSim(Config(), seed=11, n_nodes=1024, registry=seeded_registry(),
+                     state_dir=str(tmp_path / "state"))
+    try:
+        job_id = sim.submit(directive_spec(nodes=1024, ranks_per_node=16))
+        sim.run()
+        assert sim.result(job_id).outcome == "success"
+        assert _sha256(sim.tracer.text()) == LARGE_JOB_TRACE_SHA256
+    finally:
+        sim.cleanup()
 
 
 def test_chaos_traces_match_golden():

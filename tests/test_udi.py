@@ -299,7 +299,10 @@ def _reads(monkeypatch):
             reads.append((n, len(data)))
             return data
 
-    monkeypatch.setattr(udigate.udi, "open", lambda path, mode: Counting(path), raising=False)
+    # open's arguments pass through; the file is unbuffered either way
+    monkeypatch.setattr(udigate.udi, "open",
+                        lambda file, mode="r", *args, **kwargs: Counting(file, mode),
+                        raising=False)
     return reads
 
 
@@ -333,6 +336,31 @@ def test_small_archive_is_one_read_of_its_size(tmp_path, monkeypatch):
         reads.clear()
         read(desc.path)
         assert reads == [(desc.size_bytes, desc.size_bytes)]
+
+
+def test_short_reads_are_read_again_on_both_paths(tmp_path, monkeypatch):
+    """An unbuffered read may return fewer bytes than asked for. Every
+    reader reads on, on the single-read and the windowed path, and reports
+    neither a truncation nor a different digest."""
+    reads = []
+
+    class Short(io.FileIO):
+        def read(self, n=-1):
+            data = super().read(min(n, 7) if n >= 0 else n)
+            reads.append(len(data))
+            return data
+
+    monkeypatch.setattr(udigate.udi, "open",
+                        lambda file, mode="r", *args, **kwargs: Short(file, mode),
+                        raising=False)
+    desc = _write(payload_tree(), tmp_path / "a.udi")
+    for window in (_WINDOW, 64):  # one read of the file's size, then 64-byte windows
+        monkeypatch.setattr(udigate.udi, "_WINDOW", window)
+        reads.clear()
+        assert check_udi(desc.path, desc.digest).ok
+        assert verify_udi(desc.path).digest == desc.digest
+        assert open_udi(desc.path)[0].digest == desc.digest
+        assert max(reads) == 7 and sum(reads) == 3 * desc.size_bytes
 
 
 def test_unreadable_file_is_io_for_every_reader(tmp_path):
