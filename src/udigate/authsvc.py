@@ -79,8 +79,11 @@ class Credential:
         return canonical_payload(self.uid, self.gids, self.scope, self.issued_at, self.nonce)
 
 
+ID_LIMIT = 2 ** 64  # a uid or gid is a u64 in the payload
+
+
 def _check_id(value: int, label: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or not (0 <= value < 2 ** 64):
+    if not isinstance(value, int) or isinstance(value, bool) or not (0 <= value < ID_LIMIT):
         raise ValueError(f"{label} out of range: {value!r}")
     return value
 

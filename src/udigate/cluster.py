@@ -32,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .authsvc import Credential, CredentialVerifier, issue_credential
+from .authsvc import ID_LIMIT, Credential, CredentialVerifier, issue_credential
 from .clock import Tracer, VirtualClock, fmt_time
 from .config import Config
 from .errors import InvalidSpec, MissingGres, UdigateError
@@ -91,6 +91,9 @@ def validate_spec(spec: JobSpec, cluster_nodes: int) -> None:
         raise InvalidSpec(f"ranks_per_node must be >= 1, got {spec.ranks_per_node}")
     if spec.nodes > cluster_nodes:
         raise InvalidSpec(f"job wants {spec.nodes} nodes, cluster has {cluster_nodes}")
+    for label, value in (("uid", spec.uid), *(("gid", g) for g in spec.gids)):
+        if not 0 <= value < ID_LIMIT:
+            raise InvalidSpec(f"{label} {value} outside 0..2**64-1")
     if spec.image_mode not in (MODE_DIRECTIVE, MODE_PER_COMMAND):
         raise InvalidSpec(f"unknown image_mode {spec.image_mode!r}")
     if spec.image_mode == MODE_DIRECTIVE:

@@ -57,6 +57,8 @@ class Config:
             if not math.isfinite(value) or value < 0 or (positive and value == 0):
                 bound = "> 0" if positive else ">= 0"
                 raise InvalidSpec(f"config {name} = {value!r}: must be finite and {bound}")
+        if not self.secret:  # every credential would be MACed with an empty key
+            raise InvalidSpec("config secret is empty")
 
     def replace(self, **kw) -> "Config":
         return dataclasses.replace(self, **kw)

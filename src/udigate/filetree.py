@@ -191,7 +191,7 @@ class FileTree:
     # no production caller; kept only because wallbench/spans.py wraps it by name
     def digest(self) -> str:
         sha = hashlib.sha256()
-        for chunk in _blob_chunks(self):
+        for chunk in table_chunks(self):
             sha.update(chunk)
         return sha.hexdigest()
 
@@ -207,25 +207,23 @@ PATH_LEN = struct.Struct("<H")
 ENTRY_FIELDS = struct.Struct("<BHQ")  # kind code, mode, content length (after the path)
 
 
-def entry_stream(tree: FileTree) -> Iterator[tuple[str, str, int, int, tuple[bytes]]]:
-    """Per entry in path order: (path, kind, mode, length, (body,)), a symlink's body its target."""
+def table_chunks(tree: FileTree) -> Iterator[bytes]:
+    """The one encoder of an entry table, a layer blob's bytes and an
+    archive's file table: the entry count, then per entry in path order its
+    packed header and its body (a symlink's body is its target)."""
+    yield ENTRY_COUNT.pack(len(tree))
+    path_len, fields = PATH_LEN.pack, ENTRY_FIELDS.pack
     for path, e in tree.items():
         body = e.target.encode("utf-8") if e.kind == KIND_SYMLINK else e.content
-        yield path, e.kind, e.mode, len(body), (body,)
-
-
-def _blob_chunks(tree: FileTree) -> Iterator[bytes]:
-    yield ENTRY_COUNT.pack(len(tree))
-    for path, kind, mode, length, (body,) in entry_stream(tree):
         pb = path.encode("utf-8")
-        yield PATH_LEN.pack(len(pb)) + pb + ENTRY_FIELDS.pack(KIND_CODES[kind], mode, length)
+        yield path_len(len(pb)) + pb + fields(KIND_CODES[e.kind], e.mode, len(body))
         yield body
 
 
 def tree_to_blob(tree: FileTree) -> bytes:
     """Same tree always gives identical bytes, which is what makes content
     digests meaningful."""
-    return b"".join(_blob_chunks(tree))
+    return b"".join(table_chunks(tree))
 
 
 def tree_from_blob(data: bytes) -> FileTree:

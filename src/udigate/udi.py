@@ -17,11 +17,12 @@ Layout, all integers little-endian:
     trailer    32 bytes, SHA-256 over every preceding byte
 
 Entries are sorted by path, so identical trees with identical metadata give
-bit-identical archives. The writer takes the entry count up front, streams
-each entry through a hashing wrapper as it arrives (its header packed with
-precompiled structs into one write, its content after it), straight into
-the file it is given. A failed or crashed writer leaves that file partial,
-for the caller, who owns the name, to remove.
+bit-identical archives. write_udi makes one pass straight into the file it
+is given: header and metadata, then the file table as the chunks of
+filetree.table_chunks, the encoder whose joined bytes are tree_to_blob,
+each chunk hashed and written as it comes, then the trailer. A failed or
+crashed writer leaves that file partial, for the caller, who owns the name,
+to remove.
 
 Every reader goes through one forward pass over the archive that hashes
 every body byte exactly once and parses only when asked: bytes and a file
@@ -30,12 +31,13 @@ read front to back in windows of at most 1 MiB, so memory stays bounded
 whatever the archive's size. Every reader reports a bad or unreadable
 archive as UdiCorrupt with the reason (io for a file that cannot be read).
 
-open_udi parses headers with precompiled structs and returns the descriptor
-and the file table; scan_udi is another name for it. verify_udi makes the
-same pass for a path or an in-memory image, never raises, and reports (ok,
-reason) and, on success, the trailer digest. The gateway gates READY on it
-and records that digest. read_udi reads a file once, verifies those bytes
-and loads the tree from its file table, which is a layer blob.
+open_udi walks the structure with precompiled structs, keeping no file
+table, and returns the descriptor; scan_udi is another name for it.
+verify_udi makes the same pass for a path or an in-memory image, never
+raises, and reports (ok, reason) and, on success, the trailer digest. The
+gateway gates READY on it and records that digest. read_udi reads a file
+once, verifies those bytes and loads the tree from its file table, which is
+a layer blob.
 
 check_udi is the mount-time check: it parses nothing and requires the body
 hash to match both the stored trailer and the digest the gateway recorded.
@@ -53,8 +55,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import StorageIoError, UdiCorrupt
-from .filetree import (CODE_KINDS, ENTRY_COUNT, ENTRY_FIELDS, KIND_CODES, PATH_LEN, FileTree,
-                       entry_stream, tree_from_blob)
+from .filetree import (CODE_KINDS, ENTRY_COUNT, ENTRY_FIELDS, PATH_LEN, FileTree, table_chunks,
+                       tree_from_blob)
 
 MAGIC = b"UDI1"
 VERSION = 1
@@ -87,79 +89,39 @@ class UdiCheck:
     digest: str = ""  # trailer hex, set when ok
 
 
-@dataclass(frozen=True)
-class UdiEntryInfo:
-    path: str
-    kind: str
-    mode: int
-    size: int
-    content_offset: int
-
-
-class _HashingWriter:
-    def __init__(self, fh):
-        self._fh = fh
-        self.sha = hashlib.sha256()
-        self.written = 0
-
-    def write(self, data: bytes) -> None:
-        self.sha.update(data)
-        self._fh.write(data)
-        self.written += len(data)
-
-
 def _metadata_bytes(created_at: float, source_ref: str, site_mods: Iterable[str]) -> bytes:
     doc = {"created_at": created_at, "site_mods": list(site_mods), "source_ref": source_ref}
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def write_udi_stream(dest_path: str, created_at: float, source_ref: str,
-                     site_mods: Iterable[str], count: int,
-                     entries: Iterable[tuple[str, str, int, int, Iterable[bytes]]]) -> UdiDescriptor:
-    """Streaming writer. entries yields count tuples (path, kind, mode,
-    content_len, content_chunks), already sorted by path; chunks must total
-    content_len. Each entry is written to dest_path as it arrives. Raises
-    StorageIoError for a wrong entry count or content length and for a
-    failed write; dest_path is then left partial, for the caller to remove.
-    """
+def write_udi(tree: FileTree, dest_path: str, source_ref: str, created_at: float,
+              site_mods: Iterable[str] = ()) -> UdiDescriptor:
+    """Write tree as an archive to dest_path in one pass, hashing each chunk
+    as it is written. Raises StorageIoError for metadata over its limit and
+    for a failed write; dest_path is then left partial, for the caller to
+    remove."""
     site_mods = tuple(site_mods)
     meta = _metadata_bytes(created_at, source_ref, site_mods)
     if len(meta) > _META_LIMIT:
         raise StorageIoError("metadata block too large")
+    sha = hashlib.sha256()
     try:
-        with open(dest_path, "wb") as raw:
-            w = _HashingWriter(raw)
-            w.write(_HEAD.pack(MAGIC, VERSION, len(meta)) + meta + ENTRY_COUNT.pack(count))
-            written = 0
-            path_len, fields = PATH_LEN.pack, ENTRY_FIELDS.pack
-            for path, kind, mode, content_len, chunks in entries:
-                written += 1
-                pb = path.encode("utf-8")
-                w.write(path_len(len(pb)) + pb + fields(KIND_CODES[kind], mode, content_len))
-                fed = 0
-                for chunk in chunks:
-                    if chunk:
-                        w.write(chunk)
-                        fed += len(chunk)
-                if fed != content_len:
-                    raise StorageIoError(
-                        f"entry {path}: declared {content_len} bytes, got {fed}")
-            if written != count:
-                raise StorageIoError(f"declared {count} entries, got {written}")
-            digest = w.sha.digest()
-            raw.write(digest)
-            size = w.written + TRAILER_LEN
+        with open(dest_path, "wb") as fh:
+            update, write = sha.update, fh.write
+            head = _HEAD.pack(MAGIC, VERSION, len(meta)) + meta
+            update(head)
+            write(head)
+            for chunk in table_chunks(tree):
+                update(chunk)
+                write(chunk)
+            digest = sha.digest()
+            write(digest)
+            size = fh.tell()
     except OSError as exc:
         raise StorageIoError(f"archive write failed: {exc}") from exc
     return UdiDescriptor(path=dest_path, digest=digest.hex(), size_bytes=size,
                          created_at=created_at, source_ref=source_ref,
                          site_mods=site_mods)
-
-
-def write_udi(tree: FileTree, dest_path: str, source_ref: str, created_at: float,
-              site_mods: Iterable[str] = ()) -> UdiDescriptor:
-    return write_udi_stream(dest_path, created_at, source_ref, site_mods, len(tree),
-                            entry_stream(tree))
 
 
 def _read_exact(fh, n: int) -> bytes:
@@ -259,10 +221,10 @@ class _Reader:
         return result, self.body_end + TRAILER_LEN, stored
 
 
-def _parse(r: _Reader) -> tuple[tuple, list[tuple]]:
-    """Header, metadata and file table, up to the trailer. Returns the
-    metadata as (created_at, source_ref, site_mods) and the entries as
-    UdiEntryInfo field tuples."""
+def _parse(r: _Reader) -> tuple:
+    """Header, metadata and file table, up to the trailer, keeping nothing
+    of the table. Returns the metadata as (created_at, source_ref,
+    site_mods)."""
     pos = r.ensure(0, _HEAD.size, "header")
     magic, version, meta_len = _HEAD.unpack_from(r.buf, pos)
     pos += _HEAD.size
@@ -287,7 +249,6 @@ def _parse(r: _Reader) -> tuple[tuple, list[tuple]]:
     if count > _COUNT_LIMIT:
         raise UdiCorrupt("truncated", "entry count exceeds limit")
 
-    entries: list[tuple] = []
     path_len_of, fields_of = PATH_LEN.unpack_from, ENTRY_FIELDS.unpack_from
     fields = ENTRY_FIELDS.size
     buf, limit = r.buf, r.limit
@@ -304,15 +265,13 @@ def _parse(r: _Reader) -> tuple[tuple, list[tuple]]:
             buf, limit = r.buf, r.limit
             fields_at = pos + 2 + path_len
         try:
-            path = buf[pos + 2:fields_at].decode("utf-8")
+            buf[pos + 2:fields_at].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise UdiCorrupt("metadata", f"entry {i} path not utf-8: {exc}")
-        kind_code, mode, content_len = fields_of(buf, fields_at)
-        kind = CODE_KINDS.get(kind_code)
-        if kind is None:
+        kind_code, _, content_len = fields_of(buf, fields_at)
+        if kind_code not in CODE_KINDS:
             raise UdiCorrupt("metadata", f"entry {i} unknown kind {kind_code}")
         pos = fields_at + fields
-        entries.append((path, kind, mode, content_len, r.base + pos))
         if pos + content_len > limit:
             pos = r.skip(pos, content_len, f"entry {i} content")
             buf, limit = r.buf, r.limit
@@ -321,7 +280,7 @@ def _parse(r: _Reader) -> tuple[tuple, list[tuple]]:
     undeclared = r.body_end - (r.base + pos)
     if undeclared:
         raise UdiCorrupt("truncated", f"{undeclared} undeclared bytes before trailer")
-    return meta, entries
+    return meta
 
 
 def _skip_body(r: _Reader) -> None:
@@ -349,25 +308,25 @@ def _forward(source, walk):
     return _Reader(None, data, len(data)).run(walk)
 
 
-def open_udi(source: str | bytes) -> tuple[UdiDescriptor, list[UdiEntryInfo]]:
+def open_udi(source: str | bytes) -> UdiDescriptor:
     """Read an archive (a path, or the image itself as bytes) in one forward
     pass: structure walk plus trailer hash over the whole body, in bounded
-    memory. Returns the descriptor (path "" for bytes) and the file table.
-    Raises UdiCorrupt with the reason."""
-    (meta, entries), size, stored = _forward(source, _parse)
+    memory. Returns the descriptor (path "" for bytes). Raises UdiCorrupt
+    with the reason."""
+    meta, size, stored = _forward(source, _parse)
     path = "" if isinstance(source, (bytes, bytearray)) else os.fspath(source)
-    return UdiDescriptor(path, stored.hex(), size, *meta), [UdiEntryInfo(*e) for e in entries]
+    return UdiDescriptor(path, stored.hex(), size, *meta)
 
 
-# the descriptor and file table of an archive, for display; the name stays
-# because benchmark spans wrap nodeagent.scan_udi and cluster.scan_udi
+# the name stays because benchmark spans wrap nodeagent.scan_udi and
+# cluster.scan_udi
 scan_udi = open_udi
 
 
 def verify_udi(source: str | bytes) -> UdiCheck:
     """Full integrity check of an archive (a path, or the image itself as
-    bytes), as open_udi but building no file table. Never raises; on
-    success digest is the trailer hex."""
+    bytes), the same pass as open_udi. Never raises; on success digest is
+    the trailer hex."""
     try:
         _, _, stored = _forward(source, _parse)
     except UdiCorrupt as exc:
@@ -396,7 +355,7 @@ def read_udi(path: str) -> tuple[FileTree, UdiDescriptor]:
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        (meta, _), size, stored = _forward(data, _parse)
+        meta, size, stored = _forward(data, _parse)
     except OSError as exc:
         raise UdiCorrupt("io", path) from exc
     except UdiCorrupt as exc:

@@ -63,6 +63,17 @@ def layer_blob(*records: bytes) -> bytes:
     return struct.pack("<I", len(records)) + b"".join(records)
 
 
+def reference_blob(tree: FileTree) -> bytes:
+    """The blob written from the format description: entries in ascending
+    order of their UTF-8 path bytes, a symlink's body its UTF-8 target."""
+    records = []
+    for path in sorted(tree.paths(), key=lambda p: p.encode("utf-8")):
+        e = tree.get(path)
+        body = e.target.encode("utf-8") if e.kind == "symlink" else e.content
+        records.append(entry_record(path.encode("utf-8"), KIND_CODES[e.kind], e.mode, body))
+    return layer_blob(*records)
+
+
 def _safe_add(tree: FileTree, path: str, kind: str, rng) -> None:
     """Add one entry keeping the layer tree structurally valid: present
     ancestors must stay directories, and replacing a dir with a non-dir

@@ -56,6 +56,16 @@ def test_job_submit_without_gres_token(capsys):
     assert "udi" in err
 
 
+@pytest.mark.parametrize("ids", ["uid = -1", "gids = 100, 18446744073709551616"])
+def test_job_file_with_out_of_range_id_is_invalid_spec(tmp_path, capsys, ids):
+    spec = tmp_path / "job.txt"
+    spec.write_text(f"nodes = 1\nudi = team/app:v1\ngres = udi\n{ids}\n")
+    assert main(["job", "submit", str(spec)]) == 1
+    err = capsys.readouterr().err
+    assert "error: InvalidSpec" in err
+    assert "outside 0..2**64-1" in err
+
+
 def test_rejected_job_leaves_no_simulator_state(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
     assert main(["job", "submit", "--udi", "team/app:v1"]) == 1

@@ -83,6 +83,8 @@ def test_host_only_job_needs_no_gres():
     dict(image_mode="Sideways"),
     dict(udi=""),
     dict(commands=(JobCommand("./x", image="apps/sim:v2"),)),
+    dict(uid=-1),
+    dict(gids=(100, 2 ** 64)),
 ])
 def test_invalid_specs_rejected(bad):
     with pytest.raises(InvalidSpec):

@@ -64,6 +64,15 @@ def test_secret_file_indirection(tmp_path):
     assert cfg.secret == b"wire-key-123"
 
 
+def test_empty_secret_rejected(tmp_path):
+    empty = tmp_path / "secret"
+    empty.write_bytes(b"\n")
+    for build in (lambda: Config(secret=b""), lambda: parse_config("secret = "),
+                  lambda: parse_config(f"secret_file = {empty}")):
+        with pytest.raises(InvalidSpec, match="secret is empty"):
+            build()
+
+
 def test_load_config_roundtrip(tmp_path):
     p = tmp_path / "udigate.conf"
     p.write_text("poll_interval = 0.25\nidentity_cap = 9\n")

@@ -12,8 +12,8 @@ import time
 
 import pytest
 
-from helpers import (EDGE_NAME_POOL, KIND_CODES, entry_record, layer_blob, materialize_stack,
-                     payload_tree, random_stack, read_back_tree, tiny_tree)
+from helpers import (EDGE_NAME_POOL, entry_record, layer_blob, materialize_stack, payload_tree,
+                     random_stack, read_back_tree, reference_blob, tiny_tree)
 from udigate import filetree
 from udigate.errors import EmptyLayerList, MalformedLayer, ModConflict
 from udigate.filetree import (
@@ -178,23 +178,12 @@ def test_blob_roundtrip_and_digest_stability():
     assert t.digest() == blob_digest(blob)
 
 
-def _reference_blob(tree: FileTree) -> bytes:
-    """The blob written from the format description: entries in ascending
-    order of their UTF-8 path bytes, a symlink's body its UTF-8 target."""
-    records = []
-    for path in sorted(tree.paths(), key=lambda p: p.encode("utf-8")):
-        e = tree.get(path)
-        body = e.target.encode("utf-8") if e.kind == "symlink" else e.content
-        records.append(entry_record(path.encode("utf-8"), KIND_CODES[e.kind], e.mode, body))
-    return layer_blob(*records)
-
-
 def test_blob_encoder_matches_struct_reference():
     names = ["a", "Z", "é", "日本", "\U0001F600", 'q"uote', "back\\slash", "tab\t", "\u007f",
              "\uffff", "\U0010ffff", "a b"]
     targets = ['../x"y', "c:\\dir\\", "ünï\\\"", "\U0001F4A9/\n"]
     rng = random.Random(7)
-    assert tree_to_blob(FileTree()) == _reference_blob(FileTree()) == b"\0\0\0\0"
+    assert tree_to_blob(FileTree()) == reference_blob(FileTree()) == b"\0\0\0\0"
     for _ in range(200):
         t = FileTree()
         for _ in range(rng.randrange(1, 12)):
@@ -207,7 +196,7 @@ def test_blob_encoder_matches_struct_reference():
                 t.add_dir(path, mode=rng.choice((0o755, 0o700, 0o1777)))
             else:
                 t.add_symlink(path, rng.choice(targets))
-        ref = _reference_blob(t)
+        ref = reference_blob(t)
         assert tree_to_blob(t) == ref
         assert t.digest() == hashlib.sha256(ref).hexdigest()
         assert tree_from_blob(ref) == t

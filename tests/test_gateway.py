@@ -93,7 +93,7 @@ def test_content_digest_names_the_manifest_layers(rig):
     assert v1.content_digest == blob_digest("\n".join(layers).encode())
     assert v2.content_digest == v1.content_digest
     assert beta.content_digest != v1.content_digest
-    desc, _ = scan_udi(v1.udi_path)
+    desc = scan_udi(v1.udi_path)
     assert desc.digest == v1.udi_digest != v1.content_digest
     assert desc.source_ref == REF.canonical()
     assert desc.site_mods  # default site config applied

@@ -1,4 +1,4 @@
-"""Archive format: round trips, determinism, corruption rejection, streaming."""
+"""Archive format: round trips, determinism, corruption rejection, bounded reads."""
 
 import dataclasses
 import hashlib
@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import udigate.udi
-from helpers import payload_tree, random_stack, tiny_tree
-from udigate.errors import StorageIoError, UdiCorrupt
-from udigate.filetree import FileTree, flatten
+from helpers import payload_tree, random_stack, reference_blob, tiny_tree
+from udigate.errors import UdiCorrupt
+from udigate.filetree import FileTree, flatten, tree_to_blob
 from udigate.udi import (
     _WINDOW,
     MAGIC,
@@ -26,7 +26,6 @@ from udigate.udi import (
     scan_udi,
     verify_udi,
     write_udi,
-    write_udi_stream,
 )
 
 
@@ -59,7 +58,7 @@ def test_site_mods_from_a_generator(tmp_path):
     desc = write_udi(tiny_tree(), str(tmp_path / "a.udi"), "r/n:t", 0.0,
                      site_mods=(m for m in ["inject_file:/etc/x"]))
     assert desc.site_mods == ("inject_file:/etc/x",)
-    assert scan_udi(desc.path)[0].site_mods == desc.site_mods
+    assert scan_udi(desc.path).site_mods == desc.site_mods
 
 
 def test_identical_inputs_identical_bytes(tmp_path):
@@ -91,17 +90,24 @@ def test_roundtrip_random_trees(tmp_path):
         assert back == tree
 
 
+def test_file_table_is_the_layer_blob(tmp_path):
+    # the bytes between the metadata and the trailer are the tree's layer
+    # blob, as the package encodes it and as the format description packs it
+    rng = random.Random(314)
+    for i in range(40):
+        tree = flatten(random_stack(rng))
+        desc = _write(tree, tmp_path / f"t{i}.udi")
+        data = Path(desc.path).read_bytes()
+        (meta_len,) = struct.unpack_from("<I", data, 6)
+        table = data[10 + meta_len:-TRAILER_LEN]
+        assert table == tree_to_blob(tree) == reference_blob(tree)
+
+
 def test_verify_ok_and_scan_agree(tmp_path):
     desc = _write(payload_tree(), tmp_path / "a.udi")
     assert verify_udi(desc.path) == verify_udi(desc.path)
     assert verify_udi(desc.path).ok
-    sdesc, infos = scan_udi(desc.path)
-    assert sdesc == desc
-    assert [i.path for i in infos] == payload_tree().paths()
-    by_path = {i.path: i for i in infos}
-    assert by_path["/srv"].kind == "dir"
-    assert by_path["/srv/current"].kind == "symlink"
-    assert by_path["/srv/data.bin"].size == len(payload_tree().get("/srv/data.bin").content)
+    assert scan_udi(desc.path) == desc
 
 
 def test_verify_missing_file():
@@ -156,61 +162,38 @@ def test_read_udi_refuses_corrupt(tmp_path):
         read_udi(desc.path)
 
 
-def test_writer_rejects_short_content(tmp_path):
-    # chunks total less than the declared length
-    bad = [("/f", "file", 0o644, 10, (b"abc",))]
-    with pytest.raises(StorageIoError, match="declared 10 bytes"):
-        write_udi_stream(str(tmp_path / "bad.udi"), 0.0, "r:t", (), 1, bad)
-
-
-@pytest.mark.parametrize("declared", [1, 3], ids=["more-than-declared", "fewer-than-declared"])
-def test_writer_rejects_wrong_entry_count(tmp_path, declared):
-    def entries():
-        yield "/a", "file", 0o644, 1, (b"a",)
-        yield "/b", "file", 0o644, 1, (b"b",)
-    with pytest.raises(StorageIoError, match="entries"):
-        write_udi_stream(str(tmp_path / "bad.udi"), 0.0, "r:t", (), declared, entries())
-
-
-def test_streaming_writer_chunked_content(tmp_path):
-    body = bytes(range(256)) * 64
-    chunks = [body[i:i + 100] for i in range(0, len(body), 100)]
-    desc = write_udi_stream(str(tmp_path / "s.udi"), 5.0, "r:t", (), 1,
-                            [("/big", "file", 0o600, len(body), chunks)])
-    tree, _ = read_udi(desc.path)
-    assert tree.get("/big").content == body
-    assert verify_udi(desc.path).ok
-
-
 def test_magic_constant():
     assert MAGIC == b"UDI1"
 
 
 def test_open_udi_path_and_bytes_agree(tmp_path):
     desc = _write(payload_tree(), tmp_path / "a.udi")
-    pdesc, pentries = open_udi(desc.path)
-    bdesc, bentries = open_udi(Path(desc.path).read_bytes())
-    assert pdesc == desc
-    assert bdesc == dataclasses.replace(desc, path="")
-    assert bentries == pentries
+    assert open_udi(desc.path) == desc
+    assert open_udi(Path(desc.path).read_bytes()) == dataclasses.replace(desc, path="")
     assert verify_udi(desc.path) == UdiCheck(True, digest=desc.digest)
+
+
+_STRADDLE = b"/b/straddle"
+_HEADER = 2 + len(_STRADDLE) + 11  # u16 path length, path, kind, mode, length
+_BIG = bytes(range(256)) * (2 * _WINDOW // 256) + b"xyz"
 
 
 def _straddling_archive(tmp_path):
     """An archive past one window whose second entry header starts 5 bytes
-    before the window boundary, followed by content longer than a window."""
+    before the window boundary, followed by content longer than a window.
+    The header's offset follows from the metadata length: the table starts
+    right after the metadata, with a u32 count and the first entry."""
     def write(first_size):
-        entries = [
-            ("/a", "file", 0o644, first_size, (b"a" * first_size,)),
-            ("/b/straddle", "file", 0o600, 7, (b"bbbbbbb",)),
-            ("/c", "file", 0o644, 2 * _WINDOW + 3, (bytes(range(256)) * (2 * _WINDOW // 256), b"xyz")),
-            ("/d", "symlink", 0o777, 2, (b"/c",)),
-        ]
-        return write_udi_stream(str(tmp_path / "big.udi"), 1.0, "r:t", (), len(entries),
-                                entries)
-    _, entries = open_udi(write(1).path)
+        tree = FileTree()
+        tree.add_file("/a", b"a" * first_size)
+        tree.add_file(_STRADDLE.decode(), b"bbbbbbb", mode=0o600)
+        tree.add_file("/c", _BIG)
+        tree.add_symlink("/d", "/c")
+        return write_udi(tree, str(tmp_path / "big.udi"), "r:t", 1.0)
+    with open(write(0).path, "rb") as fh:
+        (meta_len,) = struct.unpack_from("<I", fh.read(10), 6)
     header_at = _WINDOW - 5
-    desc = write(header_at - entries[0].content_offset)
+    desc = write(header_at - (10 + meta_len + 4 + 2 + len("/a") + 11))
     return desc, header_at
 
 
@@ -221,17 +204,16 @@ def test_window_straddling_header_verifies_and_flips_are_caught(tmp_path):
     assert check.ok, check
     assert check.digest == desc.digest
     data = Path(desc.path).read_bytes()
-    fdesc, fentries = open_udi(desc.path)
-    bdesc, bentries = open_udi(data)
-    assert fentries == bentries
-    assert fentries[1].path == "/b/straddle"
-    assert fentries[1].content_offset - (2 + len("/b/straddle") + 11) == header_at
-    sdesc, sentries = scan_udi(desc.path)
-    assert (sdesc, sentries) == (fdesc, fentries)
+    assert data[header_at:header_at + 2 + len(_STRADDLE)] == struct.pack("<H", len(_STRADDLE)) + _STRADDLE
+    fdesc = open_udi(desc.path)
+    assert fdesc == desc
+    assert open_udi(data) == dataclasses.replace(fdesc, path="")
+    assert scan_udi(desc.path) == fdesc
     tree, _ = read_udi(desc.path)
-    assert tree.get("/c").content == data[fentries[2].content_offset:][:2 * _WINDOW + 3]
+    big_at = header_at + _HEADER + 7 + 2 + len("/c") + 11
+    assert tree.get("/c").content == data[big_at:big_at + len(_BIG)] == _BIG
     assert tree.get("/d").target == "/c"
-    for pos in range(header_at, fentries[1].content_offset):
+    for pos in range(header_at, header_at + _HEADER):
         flipped = bytearray(data)
         flipped[pos] ^= 0x41
         with open(desc.path, "wb") as fh:
@@ -359,7 +341,7 @@ def test_short_reads_are_read_again_on_both_paths(tmp_path, monkeypatch):
         reads.clear()
         assert check_udi(desc.path, desc.digest).ok
         assert verify_udi(desc.path).digest == desc.digest
-        assert open_udi(desc.path)[0].digest == desc.digest
+        assert open_udi(desc.path).digest == desc.digest
         assert max(reads) == 7 and sum(reads) == 3 * desc.size_bytes
 
 
