@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 
 from .bench import bench_startup, classify_scaling, read_rows, write_rows
@@ -54,14 +55,18 @@ def _int_list(text: str) -> list[int]:
 
 
 def _image_arg(text: str) -> tuple[str, int]:
-    """``name:tag=SIZE`` with SIZE in bytes (float notation accepted)."""
+    """``name:tag=SIZE`` with SIZE a finite number of bytes >= 0 (float
+    notation accepted)."""
     ref, sep, size = text.rpartition("=")
     if not sep:
         raise argparse.ArgumentTypeError(f"expected NAME:TAG=SIZE, got {text!r}")
     try:
-        return ref, int(float(size))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad image size {size!r}") from exc
+        value = float(size)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"bad image size {size!r}")
+    return ref, int(value)
 
 
 def _seed_registry(registry: LocalRegistry, refs: set[str],
@@ -351,7 +356,7 @@ def main(argv=None) -> int:
     except UdigateError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing or unreadable --config, secret_file, csv ...
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

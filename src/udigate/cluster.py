@@ -40,7 +40,8 @@ from .gateway import Gateway, ImageRecord, ImageState, PullTask
 from .nodeagent import IdentityBackend, NodeAgent
 from .refs import parse_reference
 from .registry import LocalRegistry
-# scan_udi stays importable here: wallbench/spans.py wraps cluster.scan_udi by name
+# nothing here calls scan_udi, another name for verify_udi; it stays
+# importable because wallbench/spans.py wraps cluster.scan_udi by name
 from .udi import scan_udi  # noqa: F401
 
 log = logging.getLogger(__name__)

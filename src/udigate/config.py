@@ -80,22 +80,20 @@ _FIELDS = {f.name: f for f in dataclasses.fields(Config)}
 
 
 def _coerce(name: str, raw: str):
-    f = _FIELDS[name]
+    kind = _FIELDS[name].type  # the annotation's text: annotations are not evaluated
     raw = raw.strip()
-    if f.type in ("float", float):
+    if kind == "float":
         return float(raw)
-    if f.type in ("int", int):
+    if kind == "int":
         return int(raw)
-    if f.type in ("bool", bool):
-        low = raw.lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise InvalidSpec(f"bad boolean for {name}: {raw!r}")
-    if f.type in ("bytes", bytes):
+    if kind == "bytes":
         return raw.encode("utf-8")
-    return raw
+    low = raw.lower()  # bool, the one field type left
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise InvalidSpec(f"bad boolean for {name}: {raw!r}")
 
 
 def parse_config(text: str) -> Config:

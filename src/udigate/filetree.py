@@ -39,7 +39,6 @@ checked.
 from __future__ import annotations
 
 import hashlib
-import posixpath
 import struct
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -156,9 +155,6 @@ class FileTree:
     def __eq__(self, other) -> bool:
         return isinstance(other, FileTree) and self._entries == other._entries
 
-    def paths(self) -> list[str]:
-        return sorted(self._entries)
-
     def items(self) -> Iterator[tuple[str, TreeEntry]]:
         entries = self._entries
         for p in sorted(entries):
@@ -177,16 +173,6 @@ class FileTree:
         for p in doomed:
             del self._entries[p]
         return len(doomed)
-
-    def validate(self) -> None:
-        """Check parent-kind consistency: a present ancestor must be a dir."""
-        for path in self._entries:
-            parent = posixpath.dirname(path)
-            while parent != "/":
-                ent = self._entries.get(parent)
-                if ent is not None and ent.kind != KIND_DIR:
-                    raise MalformedLayer(f"{path} is under non-dir {parent}")
-                parent = posixpath.dirname(parent)
 
     # no production caller; kept only because wallbench/spans.py wraps it by name
     def digest(self) -> str:

@@ -15,9 +15,9 @@ The hard-won rules encoded here:
   * every layer blob is checked against its manifest digest once, in the
     transfer step, before tree_from_blob decodes it, whatever served it
   * READY is reachable only through complete(), which re-verifies the
-    written archive first and records its trailer digest; a record can
-    never claim an artifact that does not check out, and every mount
-    checks the file's bytes against that digest
+    written archive first and records the digest and size of the bytes it
+    verified; a record can never claim an artifact that does not check
+    out, and every mount checks the file's bytes against that digest
   * a gateway is the only writer of its state directory: its record log
     holds a lock from construction to close(), so a second gateway over
     the directory is refused, and after close() a worker of the old one
@@ -52,7 +52,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 from .authsvc import Credential, Principal
 from .config import Config
 from .errors import (AuthError, DigestMismatch, IllegalTransition, LeaseRevoked,
-                     NotFound, StorageIoError, UdigateError, VerifyError)
+                     NotFound, StorageIoError, UdiCorrupt, UdigateError, VerifyError)
 from .filetree import apply_site_mods, blob_digest, default_site_config, flatten, tree_from_blob
 from .refs import ImageReference
 from .registry import SilentAbort
@@ -420,11 +420,12 @@ class Gateway:
     def complete(self, task: PullTask, udi_path: str) -> ImageRecord:
         """Verify the written archive, then and only then, while the task
         still holds its lease, rename it onto the reference's archive name
-        and go READY with its trailer digest recorded as udi_digest."""
-        check = verify_udi(udi_path)
-        if not check.ok:
-            raise VerifyError(f"fresh archive rejected ({check.reason}): {check.detail}")
-        size = os.path.getsize(udi_path)
+        and go READY with the verified descriptor's trailer digest and size
+        recorded as udi_digest and size_bytes."""
+        try:
+            desc = verify_udi(udi_path)
+        except UdiCorrupt as exc:
+            raise VerifyError(f"fresh archive rejected ({exc.reason}): {exc}") from exc
         with self._lock:
             rec = self._rec_for_task(task)
             dest = self._udi_dest(task.ref)
@@ -434,8 +435,8 @@ class Gateway:
                 raise StorageIoError(f"cannot place archive: {exc}") from exc
             try:
                 return self._transition(rec, ImageState.READY, verified=True,
-                                        udi_path=dest, udi_digest=check.digest,
-                                        size_bytes=size, last_error="")
+                                        udi_path=dest, udi_digest=desc.digest,
+                                        size_bytes=desc.size_bytes, last_error="")
             except StorageIoError:
                 with contextlib.suppress(OSError):
                     os.unlink(dest)  # no READY record names it

@@ -22,8 +22,9 @@ from typing import Optional
 from .authsvc import Credential, CredentialVerifier
 from .config import Config
 from .errors import AlreadyMounted, AuthServiceDown, IdentityTimeout, NotFound
-# scan_udi and verify_udi stay importable here: wallbench/spans.py wraps
-# nodeagent.scan_udi and nodeagent.verify_udi by name
+# nothing here calls verify_udi or scan_udi, its other name; both stay
+# importable because wallbench/spans.py wraps nodeagent.verify_udi and
+# nodeagent.scan_udi by name
 from .udi import check_udi, scan_udi, verify_udi  # noqa: F401
 
 

@@ -14,8 +14,9 @@ On-disk layout, one directory per image reference:
     <root>/<repository...>/<name:tag>/blobs/<digest>
 
 manifest.json carries exactly: name, tag, layers (digest list, transfer
-order), total_size (declared transfer size in bytes; fixture blobs stay tiny
-while total_size models the real image scale).
+order, at least one, no repeats), total_size (declared transfer size, an
+integer number of bytes >= 0; fixture blobs stay tiny while total_size
+models the real image scale).
 """
 from __future__ import annotations
 
@@ -49,6 +50,16 @@ class Manifest:
     layers: tuple[str, ...]
     total_size: int
 
+    def __post_init__(self):
+        # the one manifest gate: a document and LocalRegistry.add_image both build here
+        if not self.layers:
+            raise RegistryIoError("manifest with zero layers")
+        if len(set(self.layers)) != len(self.layers):
+            raise RegistryIoError("manifest with duplicate layers")
+        size = self.total_size
+        if isinstance(size, bool) or not isinstance(size, int) or size < 0:
+            raise RegistryIoError(f"total_size must be an int >= 0, got {size!r}")
+
     def canonical(self) -> str:
         return f"{self.name}:{self.tag}"
 
@@ -60,17 +71,10 @@ class Manifest:
     def from_json_dict(cls, doc: dict) -> "Manifest":
         try:
             layers = tuple(str(d) for d in doc["layers"])
-            m = cls(name=str(doc["name"]), tag=str(doc["tag"]),
-                    layers=layers, total_size=int(doc["total_size"]))
+            return cls(name=str(doc["name"]), tag=str(doc["tag"]),
+                       layers=layers, total_size=doc["total_size"])
         except (KeyError, TypeError, ValueError) as exc:
             raise RegistryIoError(f"bad manifest document: {exc}") from exc
-        if not m.layers:
-            raise RegistryIoError("manifest with zero layers")
-        if len(set(m.layers)) != len(m.layers):
-            raise RegistryIoError("manifest with duplicate layers")
-        if m.total_size < 0:
-            raise RegistryIoError("negative total_size")
-        return m
 
 
 def fixture_layers() -> list[FileTree]:
@@ -106,18 +110,11 @@ class LocalRegistry:
     def add_image(self, name: str, tag: str, layers: Iterable[FileTree],
                   total_size: Optional[int] = None) -> Manifest:
         blobs = [tree_to_blob(t) for t in layers]
-        if not blobs:
-            raise RegistryIoError("image must have at least one layer")
-        digests = []
+        declared = sum(len(b) for b in blobs) if total_size is None else total_size
+        manifest = Manifest(name=name, tag=tag, layers=tuple(map(blob_digest, blobs)),
+                            total_size=declared)
         with self._lock:
-            for b in blobs:
-                d = blob_digest(b)
-                self._blobs[d] = b
-                digests.append(d)
-            if len(set(digests)) != len(digests):
-                raise RegistryIoError("duplicate layers within one image")
-            declared = sum(len(b) for b in blobs) if total_size is None else int(total_size)
-            manifest = Manifest(name=name, tag=tag, layers=tuple(digests), total_size=declared)
+            self._blobs.update(zip(manifest.layers, blobs))
             self._images[manifest.canonical()] = manifest
         return manifest
 

@@ -29,15 +29,15 @@ every body byte exactly once and parses only when asked: bytes and a file
 of at most 1 MiB are one window taken in a single read, a larger file is
 read front to back in windows of at most 1 MiB, so memory stays bounded
 whatever the archive's size. Every reader reports a bad or unreadable
-archive as UdiCorrupt with the reason (io for a file that cannot be read).
+archive by raising UdiCorrupt with the reason (io for a file that cannot be
+read).
 
-open_udi walks the structure with precompiled structs, keeping no file
-table, and returns the descriptor; scan_udi is another name for it.
-verify_udi makes the same pass for a path or an in-memory image, never
-raises, and reports (ok, reason) and, on success, the trailer digest. The
-gateway gates READY on it and records that digest. read_udi reads a file
-once, verifies those bytes and loads the tree from its file table, which is
-a layer blob.
+verify_udi walks the structure of a path or an in-memory image with
+precompiled structs, keeping no file table, and returns the descriptor;
+scan_udi is another name for it. The gateway gates READY on it and records
+the descriptor's trailer digest and size. read_udi reads a file once,
+verifies those bytes and loads the tree from its file table, which is a
+layer blob.
 
 check_udi is the mount-time check: it parses nothing and requires the body
 hash to match both the stored trailer and the digest the gateway recorded.
@@ -79,14 +79,6 @@ class UdiDescriptor:
     created_at: float
     source_ref: str
     site_mods: tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class UdiCheck:
-    ok: bool
-    reason: str = ""
-    detail: str = ""
-    digest: str = ""  # trailer hex, set when ok
 
 
 def _metadata_bytes(created_at: float, source_ref: str, site_mods: Iterable[str]) -> bytes:
@@ -308,11 +300,11 @@ def _forward(source, walk):
     return _Reader(None, data, len(data)).run(walk)
 
 
-def open_udi(source: str | bytes) -> UdiDescriptor:
-    """Read an archive (a path, or the image itself as bytes) in one forward
-    pass: structure walk plus trailer hash over the whole body, in bounded
-    memory. Returns the descriptor (path "" for bytes). Raises UdiCorrupt
-    with the reason."""
+def verify_udi(source: str | bytes) -> UdiDescriptor:
+    """Full integrity check of an archive (a path, or the image itself as
+    bytes) in one forward pass: structure walk plus trailer hash over the
+    whole body, in bounded memory. Returns the descriptor (path "" for
+    bytes). Raises UdiCorrupt with the reason."""
     meta, size, stored = _forward(source, _parse)
     path = "" if isinstance(source, (bytes, bytearray)) else os.fspath(source)
     return UdiDescriptor(path, stored.hex(), size, *meta)
@@ -320,34 +312,22 @@ def open_udi(source: str | bytes) -> UdiDescriptor:
 
 # the name stays because benchmark spans wrap nodeagent.scan_udi and
 # cluster.scan_udi
-scan_udi = open_udi
+scan_udi = verify_udi
 
 
-def verify_udi(source: str | bytes) -> UdiCheck:
-    """Full integrity check of an archive (a path, or the image itself as
-    bytes), the same pass as open_udi. Never raises; on success digest is
-    the trailer hex."""
-    try:
-        _, _, stored = _forward(source, _parse)
-    except UdiCorrupt as exc:
-        return UdiCheck(False, exc.reason, str(exc))
-    return UdiCheck(True, digest=stored.hex())
-
-
-def check_udi(path: str, expected: str) -> UdiCheck:
+def check_udi(path: str, expected: str) -> None:
     """Hash every body byte of the archive at path through the one read
     path, parsing nothing, and require the hash to equal both the stored
     trailer and expected (trailer hex): the structure was verified before
-    expected was recorded. Returns the passing UdiCheck; raises UdiCorrupt
-    with reason truncated, io, checksum or descriptor mismatch."""
+    expected was recorded. Raises UdiCorrupt with reason truncated, io,
+    checksum or descriptor mismatch."""
     _, _, stored = _forward(path, _skip_body)
     if stored.hex() != expected:
         raise UdiCorrupt("descriptor mismatch")
-    return UdiCheck(True, digest=expected)
 
 
 def read_udi(path: str) -> tuple[FileTree, UdiDescriptor]:
-    """Read the file once, verify those bytes as open_udi does and load the
+    """Read the file once, verify those bytes as verify_udi does and load the
     whole tree from them: the file table is a layer blob, which
     tree_from_blob decodes. Raises UdiCorrupt, with the reason and the path,
     if the archive does not verify or cannot be read, and MalformedLayer

@@ -11,6 +11,7 @@ import shutil
 import struct
 
 from udigate.bench import BenchRow
+from udigate.errors import MalformedLayer
 from udigate.filetree import (
     DEFAULT_DIR_MODE,
     WHITEOUT_PREFIX,
@@ -58,6 +59,22 @@ def entry_record(path: bytes, kind_code: int, mode: int, body: bytes = b"") -> b
             + struct.pack("<BHQ", kind_code, mode, len(body)) + body)
 
 
+def tree_paths(tree: FileTree) -> list[str]:
+    """The tree's paths in sorted order."""
+    return [path for path, _ in tree.items()]
+
+
+def validate_tree(tree: FileTree) -> None:
+    """Check parent-kind consistency: a present ancestor must be a dir."""
+    for path, _ in tree.items():
+        parent = posixpath.dirname(path)
+        while parent != "/":
+            ent = tree.get(parent)
+            if ent is not None and ent.kind != "dir":
+                raise MalformedLayer(f"{path} is under non-dir {parent}")
+            parent = posixpath.dirname(parent)
+
+
 def layer_blob(*records: bytes) -> bytes:
     """A u32 count, then the records as given."""
     return struct.pack("<I", len(records)) + b"".join(records)
@@ -67,7 +84,7 @@ def reference_blob(tree: FileTree) -> bytes:
     """The blob written from the format description: entries in ascending
     order of their UTF-8 path bytes, a symlink's body its UTF-8 target."""
     records = []
-    for path in sorted(tree.paths(), key=lambda p: p.encode("utf-8")):
+    for path in sorted(tree_paths(tree), key=lambda p: p.encode("utf-8")):
         e = tree.get(path)
         body = e.target.encode("utf-8") if e.kind == "symlink" else e.content
         records.append(entry_record(path.encode("utf-8"), KIND_CODES[e.kind], e.mode, body))

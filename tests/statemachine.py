@@ -12,7 +12,7 @@ import shutil
 import tempfile
 
 from udigate.clock import VirtualClock
-from udigate.errors import NotFound
+from udigate.errors import NotFound, UdiCorrupt
 from udigate.filetree import FileTree
 from udigate.gateway import ALLOWED_TRANSITIONS, Gateway, ImageState
 from udigate.refs import parse_reference
@@ -64,8 +64,11 @@ class SequenceRunner:
             self.illegal += 1
         if new is ImageState.READY:
             self.ready_seen += 1
-            check = verify_udi(snapshot.udi_path)
-            if not verified or not check.ok or check.digest != snapshot.udi_digest:
+            try:
+                digest = verify_udi(snapshot.udi_path).digest
+            except UdiCorrupt:
+                digest = None
+            if not verified or digest != snapshot.udi_digest:
                 self.unverified_ready += 1
 
     # -- ops -------------------------------------------------------------------

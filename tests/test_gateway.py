@@ -25,7 +25,7 @@ from udigate.refs import parse_reference
 from udigate.httpd import make_registry_server
 from udigate.registry import HttpRegistryClient, LocalRegistry, Manifest
 from udigate.store import RecordLog
-from udigate.udi import UdiCheck, check_udi, scan_udi, verify_udi, write_udi
+from udigate.udi import check_udi, scan_udi, verify_udi, write_udi
 
 REF = parse_reference("app/alpha:v1")
 
@@ -74,7 +74,31 @@ def test_happy_path_reaches_ready(rig):
     assert rec.lease_expires_at == 0.0
     assert os.path.isfile(rec.udi_path)
     assert rec.size_bytes == os.path.getsize(rec.udi_path)
-    assert verify_udi(rec.udi_path) == UdiCheck(True, digest=rec.udi_digest)
+    desc = verify_udi(rec.udi_path)
+    assert (rec.udi_digest, rec.size_bytes) == (desc.digest, desc.size_bytes)
+
+
+def test_ready_records_the_descriptor_it_verified(rig, monkeypatch):
+    # one verify pass per completed pull; the recorded digest and size are
+    # that pass's, not a second look at the file
+    gw, clock, _ = rig
+    verified = []
+
+    def counting_verify(path):
+        verified.append(verify_udi(path))
+        return verified[-1]
+
+    def no_stat(path):
+        raise AssertionError(f"stat of {path} after its verify pass")
+
+    monkeypatch.setattr(udigate.gateway, "verify_udi", counting_verify)
+    monkeypatch.setattr(os.path, "getsize", no_stat)
+    gw.pull(REF)
+    drive(gw, clock)
+    rec = gw.lookup(REF)
+    assert rec.state is ImageState.READY
+    assert len(verified) == 1
+    assert (rec.udi_digest, rec.size_bytes) == (verified[0].digest, verified[0].size_bytes)
 
 
 def test_content_digest_names_the_manifest_layers(rig):
@@ -277,7 +301,7 @@ def test_late_worker_never_touches_the_current_archive(rig, fast_cfg, monkeypatc
     rec = gw.lookup(REF)
     assert rec.state is ImageState.READY
     assert rec.attempts == 2
-    assert check_udi(rec.udi_path, rec.udi_digest).ok
+    check_udi(rec.udi_path, rec.udi_digest)
     assert os.listdir(gw.udi_dir) == [os.path.basename(rec.udi_path)]
 
 
@@ -294,7 +318,7 @@ def test_restart_deletes_half_written_archives(rig, fast_cfg):
     try:
         reborn.recover_on_startup()
         assert os.listdir(reborn.udi_dir) == kept
-        assert verify_udi(reborn.lookup(REF).udi_path).ok
+        verify_udi(reborn.lookup(REF).udi_path)
     finally:
         reborn.close()
 
@@ -382,7 +406,7 @@ def test_a_failed_log_write_is_never_replayed(rig, fast_cfg, caplog):
     with pytest.raises(StorageIoError):
         gw.expire(REF)
     assert gw.lookup(REF) == ready
-    assert check_udi(ready.udi_path, ready.udi_digest).ok
+    check_udi(ready.udi_path, ready.udi_digest)
     registry.add_image("app/beta", "v1", LAYERS, total_size=4096)
     gw.pull(parse_reference("app/beta:v1"))
     drive(gw, clock)
@@ -417,7 +441,8 @@ def test_complete_refuses_bad_archive(rig, tmp_path):
 
     bad = tmp_path / "bad.udi"
     bad.write_bytes(b"UDI1 but not really")
-    with pytest.raises(VerifyError):
+    with pytest.raises(VerifyError, match=r"^fresh archive rejected \(truncated\): "
+                                          r"truncated: shorter than fixed header$"):
         gw.complete(task, str(bad))
     assert gw.lookup(REF).state is ImageState.CONVERTING  # not READY
 
@@ -444,7 +469,7 @@ def test_restart_replays_records(rig, fast_cfg, tmp_path):
         assert reborn.recover_on_startup() == []
         rec = reborn.lookup(REF)
         assert rec.state is ImageState.READY
-        assert verify_udi(rec.udi_path).ok
+        verify_udi(rec.udi_path)
     finally:
         reborn.close()
 
@@ -703,7 +728,7 @@ def test_expire_unlinks_before_a_repull_can_land(rig, monkeypatch):
     assert not repuller.is_alive()
     rec = gw.lookup(REF)
     assert rec.state is ImageState.READY
-    assert check_udi(rec.udi_path, rec.udi_digest).ok
+    check_udi(rec.udi_path, rec.udi_digest)
 
 
 def test_expire_transient_fails_it(rig):
@@ -759,14 +784,14 @@ def test_audit_hook_sees_every_change(fast_cfg, tmp_path):
         seen.append((old, new, verified))
         if new is ImageState.READY:
             ready_path.append(snap.udi_path)
-            assert verify_udi(snap.udi_path).ok
+            verify_udi(snap.udi_path)
 
     clock = VirtualClock()
     gw = Gateway(fast_cfg, clock, make_registry(), str(tmp_path / "s"), audit_hook=hook)
     try:
         gw.pull(REF)
         drive(gw, clock)
-        assert verify_udi(ready_path[0]).ok  # the hook sees the final file
+        verify_udi(ready_path[0])  # the hook sees the final file
         assert seen == [
             (None, ImageState.ENQUEUED, False),
             (ImageState.ENQUEUED, ImageState.PULLING, False),

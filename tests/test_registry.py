@@ -79,6 +79,26 @@ def test_manifest_document_validation():
         Manifest.from_json_dict({"name": "x", "tag": "y", "layers": ["a"], "total_size": -5})
     with pytest.raises(RegistryIoError):
         Manifest.from_json_dict({"name": "x", "layers": ["a"], "total_size": 1})
+    for size in ("1e400", "Infinity", "-Infinity", "true", "1.5", '"5"'):  # not an int >= 0
+        doc = json.loads('{"name": "x", "tag": "y", "layers": ["a"], "total_size": %s}' % size)
+        with pytest.raises(RegistryIoError, match="total_size"):
+            Manifest.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("layers,total_size", [
+    ([tiny_tree()], -5),
+    ([tiny_tree()], True),
+    ([tiny_tree()], 1.5),
+    ([], None),
+    ([tiny_tree(), payload_tree(), tiny_tree()], None),
+], ids=["negative", "bool", "float", "no-layers", "duplicate-layers"])
+def test_add_image_refuses_a_bad_manifest_and_keeps_nothing(layers, total_size):
+    r = LocalRegistry()
+    with pytest.raises(RegistryIoError):
+        r.add_image("team/app", "v1", layers, total_size=total_size)
+    assert r.images() == []
+    with pytest.raises(RegistryUnknownImage):
+        r.fetch_layer(blob_digest(tree_to_blob(tiny_tree())))
 
 
 def test_save_and_load_dir(reg, tmp_path):

@@ -19,9 +19,7 @@ from udigate.udi import (
     MAGIC,
     MIN_SIZE,
     TRAILER_LEN,
-    UdiCheck,
     check_udi,
-    open_udi,
     read_udi,
     scan_udi,
     verify_udi,
@@ -31,6 +29,13 @@ from udigate.udi import (
 
 def _write(tree, path, ref="local/test:v1", created=100.0, mods=("inject_file:/etc/x",)):
     return write_udi(tree, str(path), source_ref=ref, created_at=created, site_mods=mods)
+
+
+def _rejected(source) -> str:
+    """The reason verify_udi rejects source with."""
+    with pytest.raises(UdiCorrupt) as exc_info:
+        verify_udi(source)
+    return exc_info.value.reason
 
 
 def test_roundtrip_small(tmp_path):
@@ -78,7 +83,7 @@ def test_empty_tree_roundtrip(tmp_path):
     desc = _write(FileTree(), tmp_path / "empty.udi")
     back, _ = read_udi(desc.path)
     assert len(back) == 0
-    assert verify_udi(desc.path).ok
+    assert verify_udi(desc.path) == desc
 
 
 def test_roundtrip_random_trees(tmp_path):
@@ -105,15 +110,12 @@ def test_file_table_is_the_layer_blob(tmp_path):
 
 def test_verify_ok_and_scan_agree(tmp_path):
     desc = _write(payload_tree(), tmp_path / "a.udi")
-    assert verify_udi(desc.path) == verify_udi(desc.path)
-    assert verify_udi(desc.path).ok
+    assert verify_udi(desc.path) == verify_udi(desc.path) == desc
     assert scan_udi(desc.path) == desc
 
 
 def test_verify_missing_file():
-    check = verify_udi("/nonexistent/nope.udi")
-    assert not check.ok
-    assert check.reason == "io"
+    assert _rejected("/nonexistent/nope.udi") == "io"
 
 
 @pytest.mark.parametrize("mangle,reason", [
@@ -127,9 +129,7 @@ def test_verify_missing_file():
 def test_verify_rejects_structural_damage(tmp_path, mangle, reason):
     desc = _write(payload_tree(), tmp_path / "a.udi")
     data = Path(desc.path).read_bytes()
-    check = verify_udi(mangle(data))
-    assert not check.ok
-    assert check.reason == reason
+    assert _rejected(mangle(data)) == reason
 
 
 def test_every_single_byte_flip_detected(tmp_path):
@@ -138,7 +138,8 @@ def test_every_single_byte_flip_detected(tmp_path):
     for pos in range(len(data)):
         orig = data[pos]
         data[pos] = orig ^ 0x41
-        assert not verify_udi(bytes(data)).ok, f"flip at {pos} not caught"
+        with pytest.raises(UdiCorrupt):
+            verify_udi(bytes(data))
         data[pos] = orig
 
 
@@ -148,9 +149,7 @@ def test_verify_on_disk_corruption(tmp_path):
     data[len(data) // 2] ^= 0xFF
     with open(desc.path, "wb") as fh:
         fh.write(bytes(data))
-    check = verify_udi(desc.path)
-    assert not check.ok
-    assert check.reason in ("checksum", "truncated", "metadata", "magic", "version")
+    assert _rejected(desc.path) in ("checksum", "truncated", "metadata", "magic", "version")
 
 
 def test_read_udi_refuses_corrupt(tmp_path):
@@ -166,11 +165,10 @@ def test_magic_constant():
     assert MAGIC == b"UDI1"
 
 
-def test_open_udi_path_and_bytes_agree(tmp_path):
+def test_verify_udi_path_and_bytes_agree(tmp_path):
     desc = _write(payload_tree(), tmp_path / "a.udi")
-    assert open_udi(desc.path) == desc
-    assert open_udi(Path(desc.path).read_bytes()) == dataclasses.replace(desc, path="")
-    assert verify_udi(desc.path) == UdiCheck(True, digest=desc.digest)
+    assert verify_udi(desc.path) == desc
+    assert verify_udi(Path(desc.path).read_bytes()) == dataclasses.replace(desc, path="")
 
 
 _STRADDLE = b"/b/straddle"
@@ -200,15 +198,11 @@ def _straddling_archive(tmp_path):
 def test_window_straddling_header_verifies_and_flips_are_caught(tmp_path):
     desc, header_at = _straddling_archive(tmp_path)
     assert desc.size_bytes > 2 * _WINDOW
-    check = verify_udi(desc.path)
-    assert check.ok, check
-    assert check.digest == desc.digest
+    assert verify_udi(desc.path) == desc
     data = Path(desc.path).read_bytes()
     assert data[header_at:header_at + 2 + len(_STRADDLE)] == struct.pack("<H", len(_STRADDLE)) + _STRADDLE
-    fdesc = open_udi(desc.path)
-    assert fdesc == desc
-    assert open_udi(data) == dataclasses.replace(fdesc, path="")
-    assert scan_udi(desc.path) == fdesc
+    assert verify_udi(data) == dataclasses.replace(desc, path="")
+    assert scan_udi(desc.path) == desc
     tree, _ = read_udi(desc.path)
     big_at = header_at + _HEADER + 7 + 2 + len("/c") + 11
     assert tree.get("/c").content == data[big_at:big_at + len(_BIG)] == _BIG
@@ -218,7 +212,8 @@ def test_window_straddling_header_verifies_and_flips_are_caught(tmp_path):
         flipped[pos] ^= 0x41
         with open(desc.path, "wb") as fh:
             fh.write(flipped)
-        assert not verify_udi(desc.path).ok, f"flip at {pos} not caught"
+        with pytest.raises(UdiCorrupt):
+            verify_udi(desc.path)
 
 
 def test_truncated_large_archive_is_rejected(tmp_path):
@@ -227,19 +222,17 @@ def test_truncated_large_archive_is_rejected(tmp_path):
     for cut in (_WINDOW + 1, len(data) - 1):
         with open(desc.path, "wb") as fh:
             fh.write(data[:cut])
-        check = verify_udi(desc.path)
-        assert (check.ok, check.reason) == (False, "truncated")
+        assert _rejected(desc.path) == "truncated"
 
 
-def test_short_files_are_truncated_not_raised(tmp_path):
+def test_short_files_are_truncated(tmp_path):
     empty = tmp_path / "empty.udi"
     empty.write_bytes(b"")
     short = tmp_path / "short.udi"
     short.write_bytes(MAGIC + bytes(MIN_SIZE - len(MAGIC) - 1))
     for path in (empty, short):
-        check = verify_udi(str(path))
-        assert (check.ok, check.reason) == (False, "truncated")
-    assert verify_udi(b"").reason == "truncated"
+        assert _rejected(str(path)) == "truncated"
+    assert _rejected(b"") == "truncated"
 
 
 # -- the mount-time check ---------------------------------------------------------
@@ -247,7 +240,7 @@ def test_short_files_are_truncated_not_raised(tmp_path):
 
 def test_check_udi_accepts_only_the_expected_digest(tmp_path):
     desc = _write(payload_tree(), tmp_path / "a.udi")
-    assert check_udi(desc.path, desc.digest) == UdiCheck(True, digest=desc.digest)
+    check_udi(desc.path, desc.digest)
     with pytest.raises(UdiCorrupt) as exc_info:
         check_udi(desc.path, "0" * 64)
     assert exc_info.value.reason == "descriptor mismatch"
@@ -296,7 +289,7 @@ def test_check_udi_hashes_every_byte_in_bounded_reads(tmp_path, monkeypatch):
     for window in (1, 31, 32, 33, 64, n - 33, n - 32, n - 31, n, n + 1):
         monkeypatch.setattr(udigate.udi, "_WINDOW", window)
         reads.clear()
-        assert check_udi(desc.path, desc.digest).ok
+        check_udi(desc.path, desc.digest)
         sizes = [got for _, got in reads]
         assert sum(sizes) == n and max(sizes) <= max(window, TRAILER_LEN)
         for pos in range(n):
@@ -314,7 +307,7 @@ def test_check_udi_hashes_every_byte_in_bounded_reads(tmp_path, monkeypatch):
 def test_small_archive_is_one_read_of_its_size(tmp_path, monkeypatch):
     desc = _write(payload_tree(), tmp_path / "a.udi")
     reads = _reads(monkeypatch)
-    for read in (lambda p: check_udi(p, desc.digest), verify_udi, open_udi):
+    for read in (lambda p: check_udi(p, desc.digest), verify_udi):
         reads.clear()
         read(desc.path)
         assert reads == [(desc.size_bytes, desc.size_bytes)]
@@ -339,16 +332,14 @@ def test_short_reads_are_read_again_on_both_paths(tmp_path, monkeypatch):
     for window in (_WINDOW, 64):  # one read of the file's size, then 64-byte windows
         monkeypatch.setattr(udigate.udi, "_WINDOW", window)
         reads.clear()
-        assert check_udi(desc.path, desc.digest).ok
-        assert verify_udi(desc.path).digest == desc.digest
-        assert open_udi(desc.path).digest == desc.digest
-        assert max(reads) == 7 and sum(reads) == 3 * desc.size_bytes
+        check_udi(desc.path, desc.digest)
+        assert verify_udi(desc.path) == desc
+        assert max(reads) == 7 and sum(reads) == 2 * desc.size_bytes
 
 
 def test_unreadable_file_is_io_for_every_reader(tmp_path):
     missing = str(tmp_path / "missing.udi")
-    assert verify_udi(missing).reason == "io"
-    for read in (open_udi, scan_udi, read_udi, lambda p: check_udi(p, "0" * 64)):
+    for read in (verify_udi, scan_udi, read_udi, lambda p: check_udi(p, "0" * 64)):
         with pytest.raises(UdiCorrupt) as exc_info:
             read(missing)
         assert exc_info.value.reason == "io"
@@ -357,7 +348,7 @@ def test_unreadable_file_is_io_for_every_reader(tmp_path):
 def test_check_udi_refuses_resized_large_archive(tmp_path):
     desc, _ = _straddling_archive(tmp_path)
     data = Path(desc.path).read_bytes()
-    assert check_udi(desc.path, desc.digest).ok
+    check_udi(desc.path, desc.digest)
     for changed in (data[:_WINDOW + 1], data[:-1], data + b"\x00", data + data[-TRAILER_LEN:]):
         with open(desc.path, "wb") as fh:
             fh.write(changed)
