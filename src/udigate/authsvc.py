@@ -115,25 +115,6 @@ def issue_credential(uid: int, gids: Sequence[int], scope: str, secret: bytes,
     return cred
 
 
-def _verify(cred: Credential, keyed, now: float, ttl: float) -> Principal:
-    """The one MAC-and-expiry check. keyed is an HMAC-SHA256 object keyed
-    with the secret and fed nothing; a copy of it MACs the payload."""
-    mac = keyed.copy()
-    mac.update(cred.payload)
-    if not hmac.compare_digest(mac.digest(), cred.mac):
-        raise MacMismatch("credential MAC mismatch")
-    if not math.isfinite(cred.issued_at):
-        raise CredentialExpired(f"credential issue time {cred.issued_at} is not finite")
-    age = now - cred.issued_at
-    if age > ttl:
-        raise CredentialExpired(f"credential issued {age:.1f}s ago exceeds ttl {ttl:.0f}s")
-    return Principal(cred.uid, cred.gids, cred.scope)
-
-
-def verify_credential(cred: Credential, secret: bytes, now: float, ttl: float) -> Principal:
-    return _verify(cred, hmac.new(secret, digestmod=hashlib.sha256), now, ttl)
-
-
 def credential_to_wire(cred: Credential) -> str:
     return base64.b64encode(cred.payload + cred.mac).decode("ascii")
 
@@ -182,4 +163,15 @@ class CredentialVerifier:
         self._keyed = hmac.new(secret, digestmod=hashlib.sha256)
 
     def verify(self, cred: Credential) -> Principal:
-        return _verify(cred, self._keyed, self.clock.now(), self.ttl)
+        """The one MAC-and-expiry check: a copy of the keyed HMAC object,
+        fed nothing yet, MACs the payload."""
+        mac = self._keyed.copy()
+        mac.update(cred.payload)
+        if not hmac.compare_digest(mac.digest(), cred.mac):
+            raise MacMismatch("credential MAC mismatch")
+        if not math.isfinite(cred.issued_at):
+            raise CredentialExpired(f"credential issue time {cred.issued_at} is not finite")
+        age = self.clock.now() - cred.issued_at
+        if age > self.ttl:
+            raise CredentialExpired(f"credential issued {age:.1f}s ago exceeds ttl {self.ttl:.0f}s")
+        return Principal(cred.uid, cred.gids, cred.scope)

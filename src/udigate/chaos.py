@@ -460,7 +460,3 @@ def run_scenario(scenario: int, seed: int = 1, config: Config | None = None) -> 
     if runner is None:
         raise UnknownScenario(f"no scenario {scenario}; valid: {sorted(runners)}")
     return runner(seed, config)
-
-
-def run_all(seed: int = 1, config: Config | None = None) -> list[ScenarioReport]:
-    return [run_scenario(k, seed=seed, config=config) for k in sorted(SCENARIO_NAMES)]

@@ -8,16 +8,17 @@ it breaks ties deterministically without comparing callbacks.
 The heap holds (time, priority, seq, handle) tuples. seq is unique, so heap
 order is decided by the first three fields, compared in C, and never
 reaches the handle. Times are finite: a NaN or infinite time is refused at
-scheduling, since it would have no place in that order.
+scheduling, since it would have no place in that order, and as a run_until
+deadline, since the clock would move to it.
 """
 from __future__ import annotations
 
 import heapq
 import math
 import time as _time
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
-MAX_EVENTS = 10_000_000  # run_until_idle's budget; more means a runaway loop
+MAX_EVENTS = 10_000_000  # one run's event budget; more means a runaway loop
 
 
 class SystemClock:
@@ -64,17 +65,12 @@ class VirtualClock:
         self._seq += 1
         return ev
 
-    def advance(self, dt: float) -> None:
-        """Move time forward without running events (used by property drivers)."""
-        if not 0 <= dt < math.inf:
-            raise ValueError(f"can only advance by a finite dt >= 0, got {dt}")
-        self._now += dt
-
-    def run_until_idle(self) -> int:
-        """Run events in order until the queue drains. Returns events run."""
+    def _run(self, deadline: float) -> int:
+        """The one event loop: run events with time <= deadline in order,
+        skipping cancelled ones. Returns events run."""
         ran = 0
         heap, pop = self._heap, heapq.heappop
-        while heap:
+        while heap and heap[0][0] <= deadline:
             when, _, _, ev = pop(heap)
             if ev.cancelled:
                 continue
@@ -85,16 +81,16 @@ class VirtualClock:
             ran += 1
         return ran
 
+    def run_until_idle(self) -> int:
+        """Run events in order until the queue drains. Returns events run."""
+        return self._run(math.inf)
+
     def run_until(self, deadline: float) -> int:
-        """Run events with time <= deadline, then set now to the deadline."""
-        ran = 0
-        while self._heap and self._heap[0][0] <= deadline:
-            when, _, _, ev = heapq.heappop(self._heap)
-            if ev.cancelled:
-                continue
-            self._now = when
-            ev.fn()
-            ran += 1
+        """Run events with time <= deadline, then set now to the deadline.
+        Returns events run."""
+        if not math.isfinite(deadline):
+            raise ValueError(f"deadline must be finite, got {deadline}")
+        ran = self._run(deadline)
         if deadline > self._now:
             self._now = deadline
         return ran
@@ -126,19 +122,3 @@ class Tracer:
     def write(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(self.text())
-
-    def events(self, event: Optional[str] = None, entity_prefix: str = "") -> list[tuple[float, str, str, str]]:
-        out = []
-        for line in self.lines:
-            ts, entity, ev, details = line.split("\t", 3)
-            if event is not None and ev != event:
-                continue
-            if entity_prefix and not entity.startswith(entity_prefix):
-                continue
-            out.append((float(ts), entity, ev, details))
-        return out
-
-
-class NullTracer(Tracer):
-    def emit(self, t, entity, event, details=()):  # pragma: no cover - trivial
-        pass

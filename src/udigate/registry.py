@@ -1,7 +1,7 @@
 """Registry stand-ins.
 
-LocalRegistry is an in-process content store with fault injection hooks: it
-can go down, corrupt a blob, or abort a transfer partway through either
+LocalRegistry is an in-process content store with one fault injection
+hook, set_abort: the next transfer of a layer aborts partway through either
 loudly (RegistryIoError) or silently (SilentAbort, which models the worker
 process dying mid-stream and reporting nothing). HttpRegistryClient speaks
 the same interface against the serving layout over HTTP. Neither checks a
@@ -101,8 +101,6 @@ class LocalRegistry:
         self._lock = threading.Lock()
         self.manifest_fetches: Counter = Counter()
         self.layer_fetches: Counter = Counter()
-        self._down = False
-        self._corrupt: set[str] = set()
         self._aborts: dict[str, tuple[float, str]] = {}  # digest -> (fraction, mode)
 
     # -- population ---------------------------------------------------------
@@ -124,17 +122,6 @@ class LocalRegistry:
 
     # -- fault injection ------------------------------------------------------
 
-    def set_down(self, down: bool) -> None:
-        with self._lock:
-            self._down = down
-
-    def set_corrupt(self, digest: str, corrupt: bool = True) -> None:
-        with self._lock:
-            if corrupt:
-                self._corrupt.add(digest)
-            else:
-                self._corrupt.discard(digest)
-
     def set_abort(self, digest: str, fraction: float, mode: str = "error") -> None:
         """Abort the next transfer of a layer past ``fraction``, once."""
         if mode not in ("error", "silent"):
@@ -146,8 +133,6 @@ class LocalRegistry:
 
     def fetch_manifest(self, canonical: str) -> Manifest:
         with self._lock:
-            if self._down:
-                raise RegistryIoError("registry unreachable")
             self.manifest_fetches[canonical] += 1
             m = self._images.get(canonical)
         if m is None:
@@ -158,8 +143,6 @@ class LocalRegistry:
         """Called by pull workers at chunk boundaries with the cumulative
         fraction transferred. Raises if an abort fault fires here."""
         with self._lock:
-            if self._down:
-                raise RegistryIoError("registry unreachable")
             abort = self._aborts.get(digest)
             if abort is None or fraction < abort[0]:
                 return
@@ -171,15 +154,10 @@ class LocalRegistry:
 
     def fetch_layer(self, digest: str) -> bytes:
         with self._lock:
-            if self._down:
-                raise RegistryIoError("registry unreachable")
             self.layer_fetches[digest] += 1
             data = self._blobs.get(digest)
-            corrupt = digest in self._corrupt
         if data is None:
             raise RegistryUnknownImage(f"no such blob: {digest[:12]}")
-        if corrupt:
-            data = bytes([data[0] ^ 0x01]) + data[1:]
         return data
 
     # -- disk layout ----------------------------------------------------------

@@ -35,9 +35,9 @@ read).
 verify_udi walks the structure of a path or an in-memory image with
 precompiled structs, keeping no file table, and returns the descriptor;
 scan_udi is another name for it. The gateway gates READY on it and records
-the descriptor's trailer digest and size. read_udi reads a file once,
-verifies those bytes and loads the tree from its file table, which is a
-layer blob.
+the descriptor's trailer digest and size. The file table is a layer blob,
+so filetree.tree_from_blob loads a tree back from a verified archive's
+table bytes.
 
 check_udi is the mount-time check: it parses nothing and requires the body
 hash to match both the stored trailer and the digest the gateway recorded.
@@ -55,8 +55,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import StorageIoError, UdiCorrupt
-from .filetree import (CODE_KINDS, ENTRY_COUNT, ENTRY_FIELDS, PATH_LEN, FileTree, table_chunks,
-                       tree_from_blob)
+from .filetree import CODE_KINDS, ENTRY_COUNT, ENTRY_FIELDS, PATH_LEN, FileTree, table_chunks
 
 MAGIC = b"UDI1"
 VERSION = 1
@@ -324,22 +323,3 @@ def check_udi(path: str, expected: str) -> None:
     _, _, stored = _forward(path, _skip_body)
     if stored.hex() != expected:
         raise UdiCorrupt("descriptor mismatch")
-
-
-def read_udi(path: str) -> tuple[FileTree, UdiDescriptor]:
-    """Read the file once, verify those bytes as verify_udi does and load the
-    whole tree from them: the file table is a layer blob, which
-    tree_from_blob decodes. Raises UdiCorrupt, with the reason and the path,
-    if the archive does not verify or cannot be read, and MalformedLayer
-    for a table that tree_from_blob refuses."""
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-        meta, size, stored = _forward(data, _parse)
-    except OSError as exc:
-        raise UdiCorrupt("io", path) from exc
-    except UdiCorrupt as exc:
-        raise UdiCorrupt(exc.reason, path) from exc
-    table = _FIXED_HEAD + _HEAD.unpack_from(data)[2]
-    tree = tree_from_blob(data[table:size - TRAILER_LEN])
-    return tree, UdiDescriptor(path, stored.hex(), size, *meta)

@@ -1,9 +1,12 @@
 """Shared test utilities: fixture trees, random layer stacks, a
-real-filesystem materialization oracle for flatten, and synthetic
-scaling curves for the regime classifier."""
+real-filesystem materialization oracle for flatten, synthetic scaling
+curves for the regime classifier, and the test-side stand-ins for what the
+package does not ship: a trace reader, a hand advance of virtual time, an
+archive-to-tree reader and a registry with down and corrupt faults."""
 
 from __future__ import annotations
 
+import dataclasses
 import errno
 import os
 import posixpath
@@ -11,13 +14,17 @@ import shutil
 import struct
 
 from udigate.bench import BenchRow
-from udigate.errors import MalformedLayer
+from udigate.clock import Tracer, VirtualClock
+from udigate.errors import MalformedLayer, RegistryIoError
 from udigate.filetree import (
     DEFAULT_DIR_MODE,
     WHITEOUT_PREFIX,
     FileTree,
+    tree_from_blob,
 )
+from udigate.registry import LocalRegistry, Manifest
 from udigate.store import RecordLog
+from udigate.udi import TRAILER_LEN, UdiDescriptor, verify_udi
 
 NAME_POOL = ["a", "b", "c", "d", "e", "f"]
 # names that sort before "." and "/", so a whiteout or marker can sort after
@@ -304,3 +311,87 @@ class FailingWrite:
 
     def __getattr__(self, name):
         return getattr(self.fh, name)
+
+
+def trace_events(tracer: Tracer, event: str | None = None,
+                 entity_prefix: str = "") -> list[tuple[float, str, str, str]]:
+    """The tracer's lines as (time, entity, event, details), keeping those
+    of the given event and entity prefix."""
+    out = []
+    for line in tracer.lines:
+        ts, entity, ev, details = line.split("\t", 3)
+        if event is not None and ev != event:
+            continue
+        if entity_prefix and not entity.startswith(entity_prefix):
+            continue
+        out.append((float(ts), entity, ev, details))
+    return out
+
+
+class FixedClock:
+    """A clock that always reads the time it was made with."""
+
+    def __init__(self, t: float):
+        self.t = t
+
+    def now(self) -> float:
+        return self.t
+
+
+def advance(clock: VirtualClock, dt: float) -> None:
+    """Move virtual time forward by dt, for a test that drives a gateway
+    step by step; no event may be due before the new time."""
+    assert dt >= 0, dt
+    ran = clock.run_until(clock.now() + dt)
+    assert ran == 0, f"advance ran {ran} events"
+
+
+def read_udi(path: str) -> tuple[FileTree, UdiDescriptor]:
+    """Read an archive once, verify those bytes and load the tree from its
+    file table, which is a layer blob. The table starts after the fixed
+    header and metadata, found here from the format description: magic (4
+    bytes), version (u16), meta_len (u32), metadata."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    desc = verify_udi(data)
+    (meta_len,) = struct.unpack_from("<I", data, 6)
+    tree = tree_from_blob(data[10 + meta_len:len(data) - TRAILER_LEN])
+    return tree, dataclasses.replace(desc, path=path)
+
+
+class FaultyRegistry(LocalRegistry):
+    """A LocalRegistry that can also go down, refusing every request before
+    any fetch is counted, and serve a layer with its first byte flipped."""
+
+    def __init__(self):
+        super().__init__()
+        self._down = False
+        self._corrupt: set[str] = set()
+
+    def set_down(self, down: bool) -> None:
+        self._down = down
+
+    def set_corrupt(self, digest: str, corrupt: bool = True) -> None:
+        if corrupt:
+            self._corrupt.add(digest)
+        else:
+            self._corrupt.discard(digest)
+
+    def _refuse_if_down(self) -> None:
+        if self._down:
+            raise RegistryIoError("registry unreachable")
+
+    def fetch_manifest(self, canonical: str) -> Manifest:
+        self._refuse_if_down()
+        return super().fetch_manifest(canonical)
+
+    def transfer_tick(self, digest: str, fraction: float) -> None:
+        self._refuse_if_down()
+        super().transfer_tick(digest, fraction)
+
+    def fetch_layer(self, digest: str) -> bytes:
+        self._refuse_if_down()
+        data = super().fetch_layer(digest)
+        if digest in self._corrupt:
+            data = bytes([data[0] ^ 0x01]) + data[1:]
+        return data

@@ -11,6 +11,7 @@ import random
 import shutil
 import tempfile
 
+from helpers import advance
 from udigate.clock import VirtualClock
 from udigate.errors import NotFound, UdiCorrupt
 from udigate.filetree import FileTree
@@ -86,13 +87,13 @@ class SequenceRunner:
             return
         chain = self.rng.choice(self.chains)
         _, cost = chain["next"]
-        self.clock.advance(cost)
+        advance(self.clock, cost)
         chain["next"] = next(chain["pull"], None)
         if chain["next"] is None:
             self.chains.remove(chain)
 
     def op_sweep(self) -> None:
-        self.clock.advance(self.config.sweep_interval)
+        advance(self.clock, self.config.sweep_interval)
         self.gateway.sweep_stale()
 
     def op_expire(self) -> None:

@@ -12,6 +12,7 @@ import struct
 import pytest
 
 import udigate.authsvc
+from helpers import FixedClock, advance
 from udigate.authsvc import (
     NONCE_LEN,
     Credential,
@@ -20,7 +21,6 @@ from udigate.authsvc import (
     credential_from_wire,
     credential_to_wire,
     issue_credential,
-    verify_credential,
 )
 from udigate.clock import VirtualClock
 from udigate.errors import CredentialExpired, MacMismatch
@@ -52,7 +52,7 @@ def test_mac_is_hmac_sha256_over_payload():
 
 def test_roundtrip_verify():
     c = _cred()
-    principal = verify_credential(c, SECRET, now=13.0, ttl=300.0)
+    principal = CredentialVerifier(SECRET, 300.0, FixedClock(13.0)).verify(c)
     assert principal.uid == 7
     assert principal.gids == (5, 100)
     assert principal.scope == "user"
@@ -61,7 +61,7 @@ def test_roundtrip_verify():
 
 def test_admin_scope():
     c = issue_credential(0, (0,), "admin", SECRET, now=0.0)
-    assert verify_credential(c, SECRET, now=1.0, ttl=300.0).is_admin
+    assert CredentialVerifier(SECRET, 300.0, FixedClock(1.0)).verify(c).is_admin
 
 
 @pytest.mark.parametrize("mutate", [
@@ -77,20 +77,20 @@ def test_admin_scope():
 def test_single_field_tamper_is_mac_mismatch(mutate):
     forged = mutate(_cred())
     with pytest.raises(MacMismatch):
-        verify_credential(forged, SECRET, now=13.0, ttl=300.0)
+        CredentialVerifier(SECRET, 300.0, FixedClock(13.0)).verify(forged)
 
 
 def test_wrong_secret_is_mac_mismatch():
     with pytest.raises(MacMismatch):
-        verify_credential(_cred(), b"other", now=13.0, ttl=300.0)
+        CredentialVerifier(b"other", 300.0, FixedClock(13.0)).verify(_cred())
 
 
 def test_ttl_boundary():
     c = _cred(now=1000.0)
     # age exactly ttl still passes; one second past does not
-    verify_credential(c, SECRET, now=1300.0, ttl=300.0)
+    CredentialVerifier(SECRET, 300.0, FixedClock(1300.0)).verify(c)
     with pytest.raises(CredentialExpired):
-        verify_credential(c, SECRET, now=1301.0, ttl=300.0)
+        CredentialVerifier(SECRET, 300.0, FixedClock(1301.0)).verify(c)
 
 
 def test_wire_roundtrip():
@@ -118,7 +118,7 @@ def test_wire_bitflip_rejected():
     raw[3] ^= 0x40
     forged = base64.b64encode(bytes(raw)).decode()
     with pytest.raises(MacMismatch):
-        verify_credential(credential_from_wire(forged), SECRET, now=13.0, ttl=300.0)
+        CredentialVerifier(SECRET, 300.0, FixedClock(13.0)).verify(credential_from_wire(forged))
 
 
 def test_verifier_uses_clock_and_availability():
@@ -126,7 +126,7 @@ def test_verifier_uses_clock_and_availability():
     v = CredentialVerifier(SECRET, ttl=300.0, clock=clock)
     c = issue_credential(1, (1,), "user", SECRET, now=0.0)
     assert v.verify(c).uid == 1
-    clock.advance(301.0)
+    advance(clock, 301.0)
     with pytest.raises(CredentialExpired):
         v.verify(c)
 
@@ -146,7 +146,7 @@ def test_non_finite_issue_time_is_expired(issued_at):
     verifier = CredentialVerifier(SECRET, ttl=300.0, clock=VirtualClock())
     for cred in (c, credential_from_wire(credential_to_wire(c))):
         with pytest.raises(CredentialExpired):
-            verify_credential(cred, SECRET, now=1e12, ttl=300.0)
+            CredentialVerifier(SECRET, 300.0, FixedClock(1e12)).verify(cred)
         with pytest.raises(CredentialExpired):
             verifier.verify(cred)
 

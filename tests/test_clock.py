@@ -1,13 +1,15 @@
 import pytest
 
-from udigate.clock import NullTracer, SystemClock, Tracer, VirtualClock, fmt_time
+from helpers import advance, trace_events
+from udigate.clock import SystemClock, Tracer, VirtualClock, fmt_time
 
 
 def test_advance_and_now():
     c = VirtualClock()
     assert c.now() == 0.0
-    c.advance(1.5)
+    assert c.run_until(1.5) == 0
     assert c.now() == 1.5
+    assert c.run_until(1.0) == 0 and c.now() == 1.5  # never backwards
 
 
 def test_events_fire_in_time_order():
@@ -88,8 +90,9 @@ def test_tracer_filter_and_write(tmp_path):
     tr.emit(0.0, "node/0000", "mount", [("a", 1)])
     tr.emit(1.0, "node/0001", "unmount")
     tr.emit(2.0, "gateway", "mount")
-    assert len(tr.events("mount")) == 2
-    assert len(tr.events("mount", entity_prefix="node/")) == 1
+    assert len(trace_events(tr, "mount")) == 2
+    assert len(trace_events(tr, "mount", entity_prefix="node/")) == 1
+    assert trace_events(tr, entity_prefix="node/0001") == [(1.0, "node/0001", "unmount", "")]
     out = tmp_path / "trace.tsv"
     tr.write(str(out))
     assert out.read_text() == tr.text()
@@ -100,11 +103,6 @@ def test_fmt_time_is_six_decimal_places():
     assert fmt_time(1.23456789) == "1.234568"
 
 
-def test_null_tracer_swallows():
-    nt = NullTracer()
-    nt.emit(1.0, "x", "y", [("k", "v")])  # must not raise
-
-
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -1.0])
 def test_schedule_refuses_non_finite_or_negative_delay(bad):
     c = VirtualClock()
@@ -112,8 +110,6 @@ def test_schedule_refuses_non_finite_or_negative_delay(bad):
     c.schedule(0.5, lambda: fired.append(0.5))
     with pytest.raises(ValueError):
         c.schedule(bad, lambda: fired.append("bad"))
-    with pytest.raises(ValueError):
-        c.advance(bad)
     c.schedule(1.0, lambda: fired.append(1.0))
     c.run_until_idle()
     assert fired == [0.5, 1.0] and c.now() == 1.0
@@ -127,8 +123,39 @@ def test_schedule_at_refuses_non_finite_time(bad):
     assert c.run_until_idle() == 0 and c.now() == 0.0
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_run_until_refuses_non_finite_deadline(bad):
+    c = VirtualClock()
+    fired = []
+    c.schedule(0.5, lambda: fired.append(0.5))
+    with pytest.raises(ValueError):
+        c.run_until(bad)
+    assert fired == [] and c.now() == 0.0
+    # the clock still schedules and runs as before
+    c.schedule(1.0, lambda: fired.append(1.0))
+    assert c.run_until(2.0) == 2
+    assert fired == [0.5, 1.0] and c.now() == 2.0
+
+
+def test_both_runs_share_the_event_budget(monkeypatch):
+    monkeypatch.setattr("udigate.clock.MAX_EVENTS", 3)
+    for run in (VirtualClock.run_until_idle, lambda c: c.run_until(10.0)):
+        c = VirtualClock()
+        for i in range(4):
+            c.schedule(float(i), lambda: None)
+        with pytest.raises(RuntimeError, match="event budget"):
+            run(c)
+
+
+def test_advance_helper_refuses_a_due_event():
+    c = VirtualClock()
+    c.schedule(1.0, lambda: None)
+    with pytest.raises(AssertionError):
+        advance(c, 2.0)
+
+
 def test_delay_that_overflows_time_is_refused():
     c = VirtualClock()
-    c.advance(1e308)
+    advance(c, 1e308)
     with pytest.raises(ValueError):
         c.schedule(1e308, lambda: None)

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from helpers import payload_tree, tiny_tree
+from helpers import payload_tree, tiny_tree, trace_events
 from udigate.cluster import (
     MODE_DIRECTIVE,
     MODE_PER_COMMAND,
@@ -116,7 +116,7 @@ def test_directive_job_succeeds(tmp_path):
     rec = sim.gateway.lookup(parse_reference("apps/sim:v1"))
     assert rec.state is ImageState.READY
 
-    events = [ev for _, _, ev, _ in sim.tracer.events(entity_prefix=job_id)]
+    events = [ev for _, _, ev, _ in trace_events(sim.tracer, entity_prefix=job_id)]
     for expected in ("submitted", "prologue_start", "prologue_done",
                      "cmd_start", "cmd_done", "epilogue_start", "job_done"):
         assert expected in events
@@ -166,7 +166,7 @@ def test_directive_mounts_on_every_allocated_node(tmp_path):
 
 def _job_events(sim, job_id):
     return [f"{ev} {details}".rstrip()
-            for _, _, ev, details in sim.tracer.events(entity_prefix=job_id)]
+            for _, _, ev, details in trace_events(sim.tracer, entity_prefix=job_id)]
 
 
 def test_unknown_image_fails_job(tmp_path):
@@ -265,7 +265,7 @@ def test_per_command_staging_and_reuse(tmp_path):
     sim.assert_clean()
 
     # the host-side command started before any image was staged
-    starts = sim.tracer.events(event="cmd_start", entity_prefix=job_id)
+    starts = trace_events(sim.tracer, event="cmd_start", entity_prefix=job_id)
     images = [dict(kv.split("=") for kv in details.split())["image"]
               for _, _, _, details in starts]
     assert images == ["-", "apps/sim:v1", "apps/sim:v1", "apps/sim:v2"]
@@ -281,12 +281,12 @@ def test_per_command_failed_image_skips_command_only(tmp_path):
     res = sim.run()[job_id]
     assert res.commands_failed == 1
     assert res.outcome == "success"  # remaining commands still ran
-    done = sim.tracer.events(event="cmd_done", entity_prefix=job_id)
+    done = trace_events(sim.tracer, event="cmd_done", entity_prefix=job_id)
     assert len(done) == 1
     sim.assert_clean()
     # startup runs to the first command that started, not the failed one
-    (t_prologue, *_), = sim.tracer.events(event="prologue_start", entity_prefix=job_id)
-    (t_first, *_), = sim.tracer.events(event="cmd_start", entity_prefix=job_id)
+    (t_prologue, *_), = trace_events(sim.tracer, event="prologue_start", entity_prefix=job_id)
+    (t_first, *_), = trace_events(sim.tracer, event="cmd_start", entity_prefix=job_id)
     assert t_first > t_prologue
     assert res.startup_seconds == pytest.approx(t_first - t_prologue, abs=1e-6)
 
@@ -315,13 +315,13 @@ def test_crash_trace_events(tmp_path):
     sim.clock.schedule(0.2, sim.crash_gateway)
     sim.clock.schedule(3.0, sim.restart_gateway)
     sim.run()
-    gw_events = [ev for _, _, ev, _ in sim.tracer.events(entity_prefix="gateway")]
+    gw_events = [ev for _, _, ev, _ in trace_events(sim.tracer, entity_prefix="gateway")]
     assert "crash" in gw_events
     assert "restart" in gw_events
 
 
 def _worker_events(sim):
-    return [(ev, details) for _, _, ev, details in sim.tracer.events(entity_prefix="worker")]
+    return [(ev, details) for _, _, ev, details in trace_events(sim.tracer, entity_prefix="worker")]
 
 
 def test_failed_transfer_trace_line(tmp_path):

@@ -16,6 +16,7 @@ import pytest
 
 import udigate.authsvc
 import udigate.udi
+from helpers import advance
 from test_cluster import directive_spec, seeded_registry
 from udigate.authsvc import Credential
 from udigate.cluster import ClusterSim
@@ -101,7 +102,7 @@ def test_no_verification_outlives_its_mount(sim):
     forged = dataclasses.replace(genuine, mac=bytes(mac))
     assert _mount_everywhere(sim, genuine, "job-genuine") == ["ok"] * NODES
     assert _mount_everywhere(sim, forged, "job-forged") == ["MacMismatch"] * NODES
-    sim.clock.advance(sim.config.credential_ttl + 1.0)
+    advance(sim.clock, sim.config.credential_ttl + 1.0)
     assert _mount_everywhere(sim, genuine, "job-late") == ["CredentialExpired"] * NODES
     for node in sim.nodes:
         node.unmount_job("job-genuine")

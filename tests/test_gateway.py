@@ -7,7 +7,8 @@ import threading
 import pytest
 
 import udigate.gateway
-from helpers import FailingWrite, append_unusable_entries, entry_record, layer_blob
+from helpers import (FailingWrite, FaultyRegistry, advance, append_unusable_entries, entry_record,
+                     layer_blob, trace_events)
 from udigate.authsvc import CredentialVerifier, issue_credential
 from udigate.clock import Tracer, VirtualClock
 from udigate.errors import (
@@ -39,7 +40,7 @@ LAYERS = [_LOWER, _UPPER]
 
 
 def make_registry():
-    reg = LocalRegistry()
+    reg = FaultyRegistry()
     reg.add_image("app/alpha", "v1", LAYERS, total_size=4096)
     return reg
 
@@ -58,7 +59,7 @@ def drive(gw, clock):
     before the step runs."""
     while gw.pending_tasks:
         for _, cost in gw.run_pull(gw.pending_tasks.pop(0)):
-            clock.advance(cost)
+            advance(clock, cost)
 
 
 def test_happy_path_reaches_ready(rig):
@@ -207,7 +208,7 @@ def test_corrupt_layer_fails_the_pull_at_transfer(served, fast_cfg, tmp_path):
         rec = gw.lookup(REF)
         assert rec.state is ImageState.FAILED
         assert rec.last_error.startswith("DigestMismatch: ")
-        [(_, _, _, details)] = tracer.events(event="task_failed")
+        [(_, _, _, details)] = trace_events(tracer, event="task_failed")
         assert "step=transfer" in details and "err=DigestMismatch" in details
 
         registry.set_corrupt(digest, False)
@@ -264,7 +265,7 @@ def test_sweeper_fails_lapsed_lease(rig, fast_cfg):
     gw.claim(task)  # worker starts, then dies silently
 
     assert gw.sweep_stale() == []  # lease still fresh
-    clock.advance(fast_cfg.lease_duration + 0.001)
+    advance(clock, fast_cfg.lease_duration + 0.001)
     flipped = gw.sweep_stale()
     assert [r.ref.key() for r in flipped] == [REF.key()]
     rec = gw.lookup(REF)
@@ -288,7 +289,7 @@ def test_late_worker_never_touches_the_current_archive(rig, fast_cfg, monkeypatc
     def write_after_a_retry(*args, **kwargs):
         if not late:
             late.append(True)
-            clock.advance(fast_cfg.lease_duration + 0.001)
+            advance(clock, fast_cfg.lease_duration + 0.001)
             assert [r.state for r in gw.sweep_stale()] == [ImageState.FAILED]
             gw.pull(REF)
             drive(gw, clock)
@@ -427,7 +428,7 @@ def test_heartbeats_keep_lease_alive(rig, fast_cfg):
     task = gw.pending_tasks.pop(0)
     gw.claim(task)
     for _ in range(5):
-        clock.advance(fast_cfg.lease_duration * 0.8)
+        advance(clock, fast_cfg.lease_duration * 0.8)
         gw.renew_lease(task)
         assert gw.sweep_stale() == []
 
@@ -527,7 +528,7 @@ def _one_write(case, gw, clock, registry, cfg, tmp_path):
     if case == "fail_task":
         return lambda: gw.fail_task(task, RuntimeError("worker broke"))
     if case == "sweep_stale":
-        clock.advance(cfg.lease_duration + 0.001)
+        advance(clock, cfg.lease_duration + 0.001)
         return gw.sweep_stale
     if case == "begin_convert":
         return lambda: gw.begin_convert(task, "d" * 64)

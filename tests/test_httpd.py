@@ -10,7 +10,7 @@ import urllib.request
 
 import pytest
 
-from helpers import payload_tree, tiny_tree
+from helpers import FaultyRegistry, payload_tree, tiny_tree
 from udigate.authsvc import (
     CredentialVerifier,
     WIRE_HEADER,
@@ -238,7 +238,7 @@ def test_idle_and_bodiless_connections_are_closed(gw_rig, monkeypatch):
 
 @pytest.fixture
 def reg_rig():
-    registry = LocalRegistry()
+    registry = FaultyRegistry()
     registry.add_image("team/app", "v1", [tiny_tree(), payload_tree()],
                        total_size=8192)
     srv = make_registry_server(registry)

@@ -10,7 +10,9 @@ The second scan keeps production code that only tests reach out of the
 package: a module-level def or class, and a method of a module-level class
 (dunder methods aside), must be named by code in ``src/udigate`` or
 ``wallbench/`` (as a name, an attribute, or a string, since the benchmark
-wraps functions by name), or be on an allowlist that says why it stays.
+wraps functions by name). Only a method may be on an allowlist that says
+why it stays: one that http.server calls by name, or that documentation
+names. What only tests need lives in ``tests/helpers.py``.
 """
 
 import ast
@@ -21,20 +23,8 @@ import udigate
 PACKAGE = Path(udigate.__file__).parent
 WALLBENCH = PACKAGE.parent.parent / "wallbench"
 
-# module-level names that no package or benchmark code reaches, and why they stay
-TEST_ONLY = {
-    "NullTracer": "a tracer that records nothing, for tests that run without a trace",
-    "read_udi": "criterion 11's round-trip reader: loads the tree back from an archive",
-    "run_all": "runs every chaos scenario, the fixture of the scenario-coverage test",
-    "verify_credential": "the one-shot form of CredentialVerifier.verify that the credential tests call",
-}
-
 # methods that no package or benchmark code names, and why they stay
 METHODS_TEST_ONLY = {
-    "VirtualClock.advance": "moves virtual time by hand, for tests that drive a gateway step by step",
-    "Tracer.events": "the recorded events as tuples, for tests that inspect a trace",
-    "LocalRegistry.set_down": "fault fixture: the registry refuses every request",
-    "LocalRegistry.set_corrupt": "fault fixture: a layer is served with a flipped byte",
     "LocalRegistry.save_to_dir": "writes the directory layout that load_from_dir and `registry serve` "
                                  "read; README names it as the way to write one",
     "_JsonHandler.log_message": "http.server calls it by name for each request log line",
@@ -131,7 +121,7 @@ def _defs(body):
 def test_every_module_level_definition_is_reached():
     named, package = _named_and_trees()
     defined = {node.name for tree in package for node in _defs(tree.body)}
-    assert sorted(defined - named) == sorted(TEST_ONLY)
+    assert sorted(defined - named) == []
 
 
 def test_every_method_is_reached():

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import udigate.nodeagent
-from helpers import payload_tree
+from helpers import advance, payload_tree, trace_events
 from udigate.authsvc import CredentialVerifier, issue_credential
 from udigate.clock import Tracer, VirtualClock
 from udigate.errors import (
@@ -152,7 +152,7 @@ def test_resolve_groups_caches_negative(rig):
 def test_cache_expiry_forces_refetch(rig, fast_cfg):
     agent, clock, identity, _, _ = rig
     agent.resolve_groups(1001)
-    clock.advance(fast_cfg.cache_ttl + 1.0)
+    advance(clock, fast_cfg.cache_ttl + 1.0)
     agent.resolve_groups(1001)
     assert identity.requests == 2
 
@@ -179,7 +179,7 @@ def test_timeout_never_cached(fast_cfg):
     with pytest.raises(IdentityTimeout):
         agent.resolve_groups(1002)  # queued behind, waits past timeout
     assert len(agent.cache) == 1  # only the success landed in the cache
-    clock.advance(3.0)
+    advance(clock, 3.0)
     gids, _ = agent.resolve_groups(1002)  # backend free again: succeeds
     assert gids == (100,)
 
@@ -211,7 +211,7 @@ def test_mount_rejects_bad_mac(rig):
 
 def test_mount_rejects_expired_credential(rig, fast_cfg):
     agent, clock, _, desc, cred = rig
-    clock.advance(fast_cfg.credential_ttl + 1.0)
+    advance(clock, fast_cfg.credential_ttl + 1.0)
     with pytest.raises(CredentialExpired):
         agent.mount_udi(desc.path, desc.digest, cred, "job-1")
 
@@ -263,7 +263,7 @@ def test_unmount_job_clears_only_that_job(rig, tmp_path):
     agent.mount_udi(desc.path, desc.digest, cred, "job-2")
     assert agent.unmount_job("job-1") == 2
     # traced in digest order, whatever order the mounts came in
-    unmounted = [details for _, _, _, details in agent.tracer.events("unmount")]
+    unmounted = [details for _, _, _, details in trace_events(agent.tracer, "unmount")]
     assert unmounted == [f"job=job-1 digest={d[:12]}"
                          for d in sorted((desc.digest, other.digest))]
     assert agent.mount_count() == 1

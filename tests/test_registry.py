@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from helpers import payload_tree, tiny_tree
+from helpers import FaultyRegistry, payload_tree, tiny_tree
 from udigate.errors import DigestMismatch, MalformedLayer, RegistryIoError, RegistryUnknownImage
 from udigate.filetree import blob_digest, tree_to_blob
 from udigate.registry import HttpRegistryClient, LocalRegistry, Manifest, SilentAbort
@@ -39,12 +39,18 @@ def test_unknown_image_and_blob(reg):
         reg.fetch_layer("f" * 64)
 
 
-def test_down_registry(reg):
+def test_down_registry():
+    reg = FaultyRegistry()
+    digest = reg.add_image("team/app", "v1", [tiny_tree()]).layers[0]
     reg.set_down(True)
-    with pytest.raises(RegistryIoError):
-        reg.fetch_manifest("team/app:v1")
+    for fetch in (lambda: reg.fetch_manifest("team/app:v1"), lambda: reg.fetch_layer(digest),
+                  lambda: reg.transfer_tick(digest, 0.5)):
+        with pytest.raises(RegistryIoError, match="unreachable"):
+            fetch()
+    assert not reg.manifest_fetches and not reg.layer_fetches  # refused before counting
     reg.set_down(False)
     assert reg.fetch_manifest("team/app:v1").tag == "v1"
+    assert blob_digest(reg.fetch_layer(digest)) == digest
 
 
 def test_abort_fires_once_at_fraction(reg):
@@ -83,6 +89,12 @@ def test_manifest_document_validation():
         doc = json.loads('{"name": "x", "tag": "y", "layers": ["a"], "total_size": %s}' % size)
         with pytest.raises(RegistryIoError, match="total_size"):
             Manifest.from_json_dict(doc)
+
+
+def test_manifest_total_size_bound_is_zero():
+    assert Manifest("x", "y", ("a",), 0).total_size == 0
+    with pytest.raises(RegistryIoError, match="total_size"):
+        Manifest("x", "y", ("a",), -1)
 
 
 @pytest.mark.parametrize("layers,total_size", [

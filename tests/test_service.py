@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from helpers import payload_tree, tiny_tree
+from helpers import FaultyRegistry, payload_tree, tiny_tree
 from udigate.clock import SystemClock
 from udigate.errors import StorageIoError
 from udigate.gateway import Gateway, ImageState
@@ -65,7 +65,7 @@ def test_pull_through_worker_threads(fast_cfg, tmp_path):
 
 
 def test_failed_pull_reported(fast_cfg, tmp_path):
-    gw, runtime, registry = build(fast_cfg, tmp_path)
+    gw, runtime, registry = build(fast_cfg, tmp_path, registry=FaultyRegistry())
     registry.set_down(True)
     runtime.start()
     try:

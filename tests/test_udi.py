@@ -11,16 +11,17 @@ from pathlib import Path
 import pytest
 
 import udigate.udi
-from helpers import payload_tree, random_stack, reference_blob, tiny_tree
-from udigate.errors import UdiCorrupt
+from helpers import payload_tree, random_stack, read_udi, reference_blob, tiny_tree
+from udigate.errors import StorageIoError, UdiCorrupt
 from udigate.filetree import FileTree, flatten, tree_to_blob
 from udigate.udi import (
+    _COUNT_LIMIT,
+    _META_LIMIT,
     _WINDOW,
     MAGIC,
     MIN_SIZE,
     TRAILER_LEN,
     check_udi,
-    read_udi,
     scan_udi,
     verify_udi,
     write_udi,
@@ -152,17 +153,51 @@ def test_verify_on_disk_corruption(tmp_path):
     assert _rejected(desc.path) in ("checksum", "truncated", "metadata", "magic", "version")
 
 
-def test_read_udi_refuses_corrupt(tmp_path):
-    desc = _write(tiny_tree(), tmp_path / "a.udi")
-    with open(desc.path, "r+b") as fh:
-        fh.seek(0)
-        fh.write(b"Z")
-    with pytest.raises(UdiCorrupt):
-        read_udi(desc.path)
-
-
 def test_magic_constant():
     assert MAGIC == b"UDI1"
+
+
+def test_limits():
+    assert _META_LIMIT == 16 * 1024 * 1024
+    assert _COUNT_LIMIT == 10_000_000
+
+
+def test_write_udi_metadata_limit_is_inclusive(tmp_path):
+    # the metadata block is canonical JSON; source_ref pads it to the limit
+    overhead = len(udigate.udi._metadata_bytes(0.0, "", ()))
+    at_limit = "r" * (_META_LIMIT - overhead)
+    desc = write_udi(FileTree(), str(tmp_path / "a.udi"), at_limit, 0.0)
+    assert desc.size_bytes == 10 + _META_LIMIT + 4 + TRAILER_LEN
+    with pytest.raises(StorageIoError, match="too large"):
+        write_udi(FileTree(), str(tmp_path / "b.udi"), at_limit + "r", 0.0)
+    assert not (tmp_path / "b.udi").exists()
+
+
+def _header(meta_len: int, rest: bytes = b"") -> bytes:
+    """Magic, version and meta_len, then rest and a zero trailer: the
+    parser refuses the header before it reaches the trailer."""
+    return struct.pack("<4sHI", MAGIC, 1, meta_len) + rest + bytes(TRAILER_LEN)
+
+
+def _refusal(source) -> str:
+    """The whole message verify_udi rejects source with: the reason and
+    what failed."""
+    with pytest.raises(UdiCorrupt) as exc_info:
+        verify_udi(source)
+    return str(exc_info.value)
+
+
+def test_metadata_length_limit_is_inclusive():
+    assert _refusal(_header(_META_LIMIT + 1, bytes(4))) == "truncated: metadata length exceeds limit"
+    assert _refusal(_header(_META_LIMIT, bytes(4))) == "truncated: metadata"
+
+
+def test_entry_count_limit_is_inclusive():
+    meta = b"{}"
+    over = _header(len(meta), meta + struct.pack("<I", _COUNT_LIMIT + 1))
+    at = _header(len(meta), meta + struct.pack("<I", _COUNT_LIMIT))
+    assert _refusal(over) == "truncated: entry count exceeds limit"
+    assert _refusal(at) == "truncated: entry 0 path_len"
 
 
 def test_verify_udi_path_and_bytes_agree(tmp_path):
@@ -339,7 +374,7 @@ def test_short_reads_are_read_again_on_both_paths(tmp_path, monkeypatch):
 
 def test_unreadable_file_is_io_for_every_reader(tmp_path):
     missing = str(tmp_path / "missing.udi")
-    for read in (verify_udi, scan_udi, read_udi, lambda p: check_udi(p, "0" * 64)):
+    for read in (verify_udi, scan_udi, lambda p: check_udi(p, "0" * 64)):
         with pytest.raises(UdiCorrupt) as exc_info:
             read(missing)
         assert exc_info.value.reason == "io"
