@@ -22,25 +22,27 @@ real filesystem does (the property tests check exactly that):
   * missing parents are created as dirs (mode 0o755); a parent that exists
     as a non-dir is replaced by a dir
 
-A tree is a plain dict; ordered reads sort it. ``apply_layer`` reads its
-layer in path order and gathers what it removes: whiteout victims, and dirs
-whose contents go (an opaque marker's, or one that a non-dir replaces). One
-pass over the result then drops each victim and each path with a gathered
-ancestor, so a layer's removals cost O(entries x depth) whatever it holds.
+A tree is a plain dict from path to the entry's record, its (header, body)
+in the table format of blobs and archives; ordered reads sort it. A record
+from a blob keeps slices of it, a large body as a memoryview; ``set_entry``
+encodes its entry once, ``get`` and ``items`` decode, and flatten and the
+encoder ``table_chunks`` only move and join records. ``apply_layer``
+gathers what its layer removes: whiteout victims, and dirs whose contents
+go (an opaque marker's, or one that a non-dir replaces). One pass over the
+result drops each victim and each path with a gathered ancestor, so a
+layer's removals cost O(entries x depth) whatever it holds.
 
-Paths and entries are checked at two gates, once each: ``tree_from_blob``
-for registry bytes, and ``FileTree.set_entry`` for everything else. Both run
-``normalize_path`` and ``_check_entry``. Trees built through a gate are
-trusted from then on: ``tree_from_blob`` and ``flatten`` write straight
-into the entry dict, neither normalizing nor re-checking, since a gated
-layer's paths and their parents are already normal and its entries already
-checked.
+Paths and entries are checked at two gates, once each, by what
+``normalize_path`` and ``_check_entry`` accept: ``tree_from_blob`` for
+registry bytes, and ``FileTree.set_entry`` for everything else. Records
+built through a gate are trusted from then on by flatten and the encoder.
 """
 from __future__ import annotations
 
 import hashlib
 import struct
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import EmptyLayerList, MalformedLayer, ModConflict
@@ -120,10 +122,10 @@ _DEFAULT_DIR = TreeEntry(KIND_DIR, DEFAULT_DIR_MODE)
 
 
 class FileTree:
-    """Mutable mapping of normalized absolute paths to TreeEntry."""
+    """Mutable mapping of normalized absolute paths to entry records."""
 
     def __init__(self, entries: Optional[dict[str, TreeEntry]] = None):
-        self._entries: dict[str, TreeEntry] = {}
+        self._entries: dict[str, tuple] = {}
         if entries:
             for p, e in entries.items():
                 self.set_entry(p, e)
@@ -132,7 +134,7 @@ class FileTree:
         """Validating insert, the gate for entries that do not come from a
         layer blob."""
         path = normalize_path(path)
-        self._entries[path] = _check_entry(path, entry)
+        self._entries[path] = _record(path, _check_entry(path, entry))
 
     def add_file(self, path: str, content: bytes = b"", mode: int = DEFAULT_FILE_MODE) -> None:
         self.set_entry(path, TreeEntry(KIND_FILE, mode, content))
@@ -144,7 +146,7 @@ class FileTree:
         self.set_entry(path, TreeEntry(KIND_SYMLINK, SYMLINK_MODE, b"", target))
 
     def get(self, path: str) -> Optional[TreeEntry]:
-        return self._entries.get(path)
+        return _entry(self._entries[path]) if path in self._entries else None
 
     def __contains__(self, path: str) -> bool:
         return path in self._entries
@@ -158,7 +160,7 @@ class FileTree:
     def items(self) -> Iterator[tuple[str, TreeEntry]]:
         entries = self._entries
         for p in sorted(entries):
-            yield p, entries[p]
+            yield p, _entry(entries[p])
 
     def copy(self) -> "FileTree":
         t = FileTree()
@@ -184,66 +186,121 @@ class FileTree:
 
 # --- layer blob codec ---------------------------------------------------------
 
-# A layer blob is an archive's file table, as udi.py lays it out: raw
-# content bytes, paths strictly ascending, no byte after the last entry.
+# A layer blob is an archive's file table, as udi.py lays it out: records
+# in strictly ascending path order, no byte after the last one.
 KIND_CODES = {KIND_FILE: 0, KIND_DIR: 1, KIND_SYMLINK: 2}
 CODE_KINDS = {v: k for k, v in KIND_CODES.items()}
 ENTRY_COUNT = struct.Struct("<I")
 PATH_LEN = struct.Struct("<H")
 ENTRY_FIELDS = struct.Struct("<BHQ")  # kind code, mode, content length (after the path)
+_KIND_AT, _DIR_CODE = -ENTRY_FIELDS.size, KIND_CODES[KIND_DIR]  # a header's kind byte
+_VIEW_MIN = 128  # a shorter body is copied: bytes of under ~150 are smaller than a view
+_CHUNK_ENTRIES = 16  # records joined into one chunk of table_chunks
+
+
+def _record(path: str, entry: TreeEntry) -> tuple[bytes, bytes]:
+    """Encode a checked entry at a normalized path."""
+    kind, mode, body, target = entry
+    if kind == KIND_SYMLINK:
+        body = target.encode("utf-8")
+    elif type(body) is not bytes:  # a record's body must not change
+        body = bytes(memoryview(body))
+    pb = path.encode("utf-8")
+    return PATH_LEN.pack(len(pb)) + pb + ENTRY_FIELDS.pack(KIND_CODES[kind], mode, len(body)), body
+
+
+def _entry(record: tuple) -> TreeEntry:
+    code, mode, _ = ENTRY_FIELDS.unpack_from(record[0], len(record[0]) + _KIND_AT)
+    if code == KIND_CODES[KIND_SYMLINK]:
+        return TreeEntry(KIND_SYMLINK, mode, b"", str(record[1], "utf-8"))
+    return TreeEntry(CODE_KINDS[code], mode, bytes(record[1]))
+
+
+def _is_dir(record: Optional[tuple]) -> bool:
+    return record is not None and record[0][_KIND_AT] == _DIR_CODE
 
 
 def table_chunks(tree: FileTree) -> Iterator[bytes]:
     """The one encoder of an entry table, a layer blob's bytes and an
-    archive's file table: the entry count, then per entry in path order its
-    packed header and its body (a symlink's body is its target)."""
-    yield ENTRY_COUNT.pack(len(tree))
-    path_len, fields = PATH_LEN.pack, ENTRY_FIELDS.pack
-    for path, e in tree.items():
-        body = e.target.encode("utf-8") if e.kind == KIND_SYMLINK else e.content
-        pb = path.encode("utf-8")
-        yield path_len(len(pb)) + pb + fields(KIND_CODES[e.kind], e.mode, len(body))
-        yield body
+    archive's file table: the entry count, then the records in path order,
+    _CHUNK_ENTRIES of them joined per chunk."""
+    records = list(map(tree._entries.__getitem__, sorted(tree._entries)))
+    yield ENTRY_COUNT.pack(len(records))
+    for i in range(0, len(records), _CHUNK_ENTRIES):
+        yield b"".join(chain.from_iterable(records[i:i + _CHUNK_ENTRIES]))
 
 
 def tree_to_blob(tree: FileTree) -> bytes:
-    """Same tree always gives identical bytes, which is what makes content
-    digests meaningful."""
-    return b"".join(table_chunks(tree))
+    """The bytes of table_chunks in one join. Same tree always gives
+    identical bytes, which is what makes content digests meaningful."""
+    records = list(map(tree._entries.__getitem__, sorted(tree._entries)))
+    return b"".join([ENTRY_COUNT.pack(len(records)), *chain.from_iterable(records)])
+
+
+def _gated_entries(raw: list[bytes], records: list[tuple]) -> dict:
+    """Records keyed by their raw paths if each passes normalize_path and they
+    strictly ascend, else raise MalformedLayer. One pass over the joined paths
+    decides unless a path holds "\n"; else each path is checked in turn."""
+    try:
+        text = b"\n".join(raw).decode("utf-8")
+    except UnicodeDecodeError:
+        text = ""  # fails the check below
+    paths = text.split("\n")
+    if (len(paths) == len(raw)  # no path holds a "\n", so paths[i] is raw[i]
+            and text[:1] == "/" and text.count("\n/") == len(raw) - 1
+            and not text.endswith(("/", "/.", "/.."))
+            and not any(map(text.__contains__, ("//", "/./", "/../", "/\n", "/.\n", "/..\n")))
+            and max(map(len, raw)) <= MAX_PATH_LEN
+            and paths == sorted(paths)
+            and len(entries := dict(zip(paths, records))) == len(raw)):  # no path repeats
+        return entries
+    paths = [b.decode("utf-8", "surrogateescape") for b in raw]
+    for last, path in zip(["", *paths], paths):
+        normalize_path(path)
+        if path <= last:
+            raise MalformedLayer(f"path out of order or repeated: {path!r} after {last!r}")
+    return dict(zip(paths, records))
 
 
 def tree_from_blob(data: bytes) -> FileTree:
     """Decode a layer blob, the gate for registry bytes. Raises MalformedLayer
     and nothing else: for truncation, trailing bytes, an unknown kind code,
     paths out of order or repeated, and all that normalize_path and
-    _check_entry refuse, such as non-UTF-8 bytes, decoded as lone surrogates."""
-    tree = FileTree()
-    entries, size, last, i = tree._entries, len(data), "", 0
-    path_len_of, fields_of = PATH_LEN.unpack_from, ENTRY_FIELDS.unpack_from
+    _check_entry refuse, such as non-UTF-8 bytes, decoded as lone surrogates.
+    Records keep slices of data, so data other than bytes is copied first."""
+    data = bytes(data)  # the same object if it is bytes
+    view, size = memoryview(data), len(data)
+    raw, records, i, pos = [], [], 0, ENTRY_COUNT.size
+    add_path, add_record = raw.append, records.append
+    path_len_of, fields_of, fields = PATH_LEN.unpack_from, ENTRY_FIELDS.unpack_from, ENTRY_FIELDS.size
     try:
         (count,) = ENTRY_COUNT.unpack_from(data)
-        pos = ENTRY_COUNT.size
         for i in range(count):
             (n,) = path_len_of(data, pos)
             at = pos + 2 + n
-            path = data[pos + 2:at].decode("utf-8", "surrogateescape")
             code, mode, length = fields_of(data, at)
-            at += ENTRY_FIELDS.size
-            pos = at + length
-            if pos > size:
+            body_at = at + fields
+            end = body_at + length
+            if end > size:
                 raise MalformedLayer(f"truncated layer blob: content of entry {i}")
-            kind, body = CODE_KINDS.get(code, code), data[at:pos]
-            entry = (TreeEntry(kind, mode, b"", body.decode("utf-8", "surrogateescape"))
-                     if kind == KIND_SYMLINK else TreeEntry(kind, mode, body))
-            normalize_path(path)
-            if path <= last:
-                raise MalformedLayer(f"path out of order or repeated: {path!r} after {last!r}")
-            entries[path] = _check_entry(path, entry)
-            last = path
+            add_path(data[pos + 2:at])
+            if code and (code != _DIR_CODE or length) or mode > 0o7777:
+                path = raw[-1].decode("utf-8", "surrogateescape")
+                body = data[body_at:end]
+                entry = (TreeEntry(KIND_SYMLINK, mode, b"", body.decode("utf-8", "surrogateescape"))
+                         if code == KIND_CODES[KIND_SYMLINK]
+                         else TreeEntry(CODE_KINDS.get(code, code), mode, body))
+                add_record(_record(normalize_path(path), _check_entry(path, entry)))
+            else:
+                add_record((data[pos:body_at],
+                            data[body_at:end] if length < _VIEW_MIN else view[body_at:end]))
+            pos = end
     except struct.error:
         raise MalformedLayer(f"truncated layer blob: header of entry {i}") from None
     if pos != size:
         raise MalformedLayer(f"{size - pos} bytes after the last entry of a layer blob")
+    tree = FileTree()
+    tree._entries = _gated_entries(raw, records)
     return tree
 
 
@@ -260,9 +317,8 @@ def _ensure_parent_dirs(result: FileTree, path: str) -> None:
     end = path.find("/", 1)
     while end != -1:
         parent = path[:end]
-        ent = entries.get(parent)
-        if ent is None or ent.kind != KIND_DIR:
-            entries[parent] = _DEFAULT_DIR
+        if not _is_dir(entries.get(parent)):
+            entries[parent] = _record(parent, _DEFAULT_DIR)
         end = path.find("/", end + 1)
 
 
@@ -279,8 +335,8 @@ def _standing_dirs(marker: str, pos: int, gone: dict, emptied: dict, layer: dict
         if gone.get(d, -1) > pos:
             return
         yield d
-        ent = layer.get(d)
-        if emptied.get(d, -1) > pos or ent is not None and ent.kind != KIND_DIR:
+        record = layer.get(d)
+        if emptied.get(d, -1) > pos or record is not None and not _is_dir(record):
             return
         end = marker.find("/", end + 1)
 
@@ -309,43 +365,43 @@ def _drop_covered(entries: dict, gone: dict, emptied: dict) -> None:
 
 def apply_layer(result: FileTree, layer: FileTree) -> None:
     """Apply one gated layer: gather what it removes, drop all of that in one
-    pass, then make its markers' dirs and insert its other entries. An
-    entry's parents are made dirs only when its parent differs from the
-    previous entry's: entries that share a parent are consecutive, and
-    replacing one of them never touches the parent."""
+    pass, then make its markers' dirs, insert its other records in one
+    update and make their distinct parents dirs. A parent sorts before its
+    children, so making it after the update, not before each insert, gives
+    the same tree."""
     entries, above = result._entries, layer._entries
+    paths = sorted(above)
     gone: dict[str, int] = {}  # whiteout victim -> the whiteout's position in the layer
     emptied: dict[str, int] = {}  # dir whose lower contents go ("" for /) -> position
-    markers, plain = [], []
-    for pos, (path, entry) in enumerate(layer.items()):
+    markers, hidden = [], set()  # hidden: the whiteouts and markers, which are not kept
+    for pos, path in enumerate(paths):
+        if "/" + WHITEOUT_PREFIX not in path:  # cheaper than a split of every path
+            continue
         parent, _, name = path.rpartition("/")
         if not name.startswith(WHITEOUT_PREFIX):
-            plain.append((path, parent, entry))
-        elif name == OPAQUE_WHITEOUT:
+            continue
+        hidden.add(path)
+        if name == OPAQUE_WHITEOUT:
             emptied[parent] = pos
             markers.append((path, pos))
         else:  # normalizing rejects an empty, "." or ".." victim
             gone[normalize_path(f"{parent}/{name[len(WHITEOUT_PREFIX):]}")] = pos
     standing = [d for marker, pos in markers
                 for d in _standing_dirs(marker, pos, gone, emptied, above)]
-    for path, _, entry in plain:  # a non-dir over a lower dir empties it, after every marker
-        old = entries.get(path)
-        if old is not None and old.kind == KIND_DIR != entry.kind:
-            emptied[path] = len(above)
+    for path in entries.keys() & above.keys():  # a non-dir over a lower dir empties it
+        if _is_dir(entries[path]) and not _is_dir(above[path]) and path not in hidden:
+            emptied[path] = len(above)  # after every marker
     if "" in emptied:
         entries.clear()
     elif gone or emptied:
         _drop_covered(entries, gone, emptied)
     for d in standing:
-        ent = entries.get(d)
-        if ent is None or ent.kind != KIND_DIR:
-            entries[d] = _DEFAULT_DIR
-    confirmed = None  # the parent made a dir for the previous entry
-    for path, parent, entry in plain:
-        if parent != confirmed:
-            _ensure_parent_dirs(result, path)
-            confirmed = parent
-        entries[path] = entry  # dir over dir refreshes the mode, children survive
+        if not _is_dir(entries.get(d)):
+            entries[d] = _record(d, _DEFAULT_DIR)
+    plain = {path: above[path] for path in paths if path not in hidden} if hidden else above
+    entries.update(plain)  # dir over dir refreshes the mode, children survive
+    for parent in dict.fromkeys(path.rpartition("/")[0] for path in plain):
+        _ensure_parent_dirs(result, parent + "/")
 
 
 def flatten(layers: Iterable[FileTree]) -> FileTree:

@@ -15,8 +15,8 @@ On-disk layout, one directory per image reference:
 
 manifest.json carries exactly: name, tag, layers (digest list, transfer
 order, at least one, no repeats), total_size (declared transfer size, an
-integer number of bytes >= 0; fixture blobs stay tiny while total_size
-models the real image scale).
+integer number of bytes from 0 to MAX_TOTAL_SIZE; fixture blobs stay tiny
+while total_size models the real image scale).
 """
 from __future__ import annotations
 
@@ -32,6 +32,9 @@ from typing import Iterable, Optional
 
 from .errors import DigestMismatch, MalformedLayer, RegistryIoError, RegistryUnknownImage
 from .filetree import FileTree, blob_digest, tree_from_blob, tree_to_blob
+
+
+MAX_TOTAL_SIZE = 2 ** 40  # sets a pull's step count: 1,100 transfers with the default Config
 
 
 class SilentAbort(Exception):
@@ -57,8 +60,8 @@ class Manifest:
         if len(set(self.layers)) != len(self.layers):
             raise RegistryIoError("manifest with duplicate layers")
         size = self.total_size
-        if isinstance(size, bool) or not isinstance(size, int) or size < 0:
-            raise RegistryIoError(f"total_size must be an int >= 0, got {size!r}")
+        if isinstance(size, bool) or not isinstance(size, int) or not 0 <= size <= MAX_TOTAL_SIZE:
+            raise RegistryIoError(f"total_size must be an int in 0..{MAX_TOTAL_SIZE}, got {size!r}")
 
     def canonical(self) -> str:
         return f"{self.name}:{self.tag}"

@@ -19,10 +19,10 @@ Layout, all integers little-endian:
 Entries are sorted by path, so identical trees with identical metadata give
 bit-identical archives. write_udi makes one pass straight into the file it
 is given: header and metadata, then the file table as the chunks of
-filetree.table_chunks, the encoder whose joined bytes are tree_to_blob,
-each chunk hashed and written as it comes, then the trailer. A failed or
-crashed writer leaves that file partial, for the caller, who owns the name,
-to remove.
+filetree.table_chunks, joins of the tree's stored entry records in path
+order (tree_to_blob is one such join), each hashed and written as it comes,
+then the trailer. A failed or crashed writer leaves that file partial, for
+the caller, who owns the name, to remove.
 
 Every reader goes through one forward pass over the archive that hashes
 every body byte exactly once and parses only when asked: bytes and a file

@@ -8,6 +8,7 @@ agreement with the pure-tree implementation.
 import hashlib
 import posixpath
 import random
+import tracemalloc
 
 import pytest
 
@@ -164,7 +165,7 @@ def test_remove_subtree_counts():
 def test_validate_catches_file_ancestor():
     t = FileTree()
     t.add_file("/a", b"")
-    t._entries["/a/b"] = t.get("/a")  # bypass add checks
+    t._entries["/a/b"] = filetree._record("/a/b", t.get("/a"))  # bypass add checks
     with pytest.raises(MalformedLayer):
         validate_tree(t)
 
@@ -288,6 +289,76 @@ def test_every_cut_and_byte_flip_decodes_or_is_malformed():
     assert 0 < decoded < len(mutants)
 
 
+# segments for the differential test of the blob gate: each kind of byte
+# that normalize_path refuses or that the gate's joined-paths check reads
+_GATE_SEGMENTS = ["a", "b", "\u00e9", "\U0001F600", "\0", "a\nb", "\n", "\n/", "x\n/y", "/",
+                  ".", "..", "", "\ud800", ".a", "-", " "]
+# 4095, 4096 and 4097 bytes, in one- and two-byte characters
+_GATE_LONG = ["/" + "a" * 4094, "/" + "a" * 4095, "/" + "a" * 4096,
+              "/" + "\u00e9" * 2047, "/" + "\u00e9" * 2047 + "a", "/" + "\u00e9" * 2048]
+
+
+def _gate_path(rng):
+    roll = rng.random()
+    if roll < 0.05:
+        return rng.choice(_GATE_LONG)
+    lead = "/" if roll < 0.9 else rng.choice(("", "a", "\n", "\n/", "."))
+    return lead + "/".join(rng.choice(_GATE_SEGMENTS) for _ in range(rng.randrange(1, 4)))
+
+
+def _gate_reference(paths):
+    """What the gate must decode paths to: themselves, if each passes
+    normalize_path and they strictly ascend; None otherwise."""
+    try:
+        for path in paths:
+            normalize_path(path)
+    except MalformedLayer:
+        return None
+    return paths if all(a < b for a, b in zip(paths, paths[1:])) else None
+
+
+def test_blob_gate_accepts_exactly_what_normalize_path_accepts_in_order():
+    rng = random.Random(24)
+    accepted = rejected = with_newline = 0
+    for _ in range(3000):
+        paths = [_gate_path(rng) for _ in range(rng.randrange(1, 5))]
+        if rng.random() < 0.8:
+            paths.sort()
+        # surrogatepass: a lone surrogate reaches the blob as the bytes that
+        # encode it, which are not UTF-8
+        blob = layer_blob(*(entry_record(p.encode("utf-8", "surrogatepass"), 0, 0o644, b"x")
+                            for p in paths))
+        want = _gate_reference(paths)
+        if want is None:
+            rejected += 1
+            with pytest.raises(MalformedLayer):
+                tree_from_blob(blob)
+            continue
+        accepted += 1
+        with_newline += any("\n" in p for p in paths)
+        tree = tree_from_blob(blob)
+        assert tree_paths(tree) == want
+        assert tree_to_blob(tree) == blob
+    assert accepted > 400 and rejected > 1000 and with_newline > 100
+
+
+def test_blob_decode_keeps_content_in_the_blob():
+    rng = random.Random(3)
+    tree = FileTree()
+    for i in range(2048):  # 8 MiB of 4 KiB files
+        tree.add_file(f"/d{i // 64:02}/f{i:04}", rng.randbytes(4096))
+    blob = tree_to_blob(tree)
+    del tree
+    tracemalloc.start()
+    try:
+        decoded = tree_from_blob(blob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20 / 4
+    assert tree_to_blob(decoded) == blob
+
+
 def test_flatten_empty_rejected():
     with pytest.raises(EmptyLayerList):
         flatten([])
@@ -329,6 +400,19 @@ def test_flatten_opaque_whiteout_hides_lower_contents(marker, expected):
     upper.add_file("/d/new", b"n")
     flat = flatten([lower, upper])
     assert tree_paths(flat) == expected
+
+
+def test_flatten_whiteout_keeps_a_lower_entry_at_its_own_path(tmp_path):
+    # a whiteout is not kept, and it does not remove what a lower layer has
+    # at its own path: here a dir named like it, made as a parent
+    lower, upper = FileTree(), FileTree()
+    lower.add_file(f"/d/{WHITEOUT_PREFIX}x/f", b"f")
+    lower.add_file("/d/x", b"x")
+    upper.add_file(f"/d/{WHITEOUT_PREFIX}x")
+    materialize_stack([lower, upper], str(tmp_path))
+    flat = flatten([flatten([lower]), upper])
+    assert flat == read_back_tree(str(tmp_path))
+    assert tree_paths(flat) == ["/d", f"/d/{WHITEOUT_PREFIX}x", f"/d/{WHITEOUT_PREFIX}x/f"]
 
 
 def test_flatten_whiteout_then_replace_same_layer():

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import udigate.registry
 from helpers import FaultyRegistry, payload_tree, tiny_tree
 from udigate.errors import DigestMismatch, MalformedLayer, RegistryIoError, RegistryUnknownImage
 from udigate.filetree import blob_digest, tree_to_blob
@@ -95,6 +96,19 @@ def test_manifest_total_size_bound_is_zero():
     assert Manifest("x", "y", ("a",), 0).total_size == 0
     with pytest.raises(RegistryIoError, match="total_size"):
         Manifest("x", "y", ("a",), -1)
+
+
+def test_manifest_total_size_upper_bound_is_inclusive():
+    # the declared size sets the pull's step count, so an absurd one would
+    # spin a worker through billions of steps
+    bound = udigate.registry.MAX_TOTAL_SIZE
+    assert bound == 2 ** 40
+    assert Manifest("x", "y", ("a",), bound).total_size == bound
+    with pytest.raises(RegistryIoError, match="total_size"):
+        Manifest("x", "y", ("a",), bound + 1)
+    doc = {"name": "x", "tag": "y", "layers": ["a"], "total_size": 10 ** 18}
+    with pytest.raises(RegistryIoError, match="total_size"):
+        Manifest.from_json_dict(doc)
 
 
 @pytest.mark.parametrize("layers,total_size", [

@@ -6,6 +6,7 @@ import io
 import os
 import random
 import struct
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,27 @@ def test_magic_constant():
 def test_limits():
     assert _META_LIMIT == 16 * 1024 * 1024
     assert _COUNT_LIMIT == 10_000_000
+
+
+def _write_peak(tmp_path, mib: int) -> int:
+    """The tracemalloc peak of writing mib MiB of 4 KiB files, in bytes."""
+    rng = random.Random(mib)
+    tree = FileTree()
+    for i in range(mib * 256):
+        tree.add_file(f"/d{i // 64:03}/f{i:05}", rng.randbytes(4096))
+    tracemalloc.start()
+    try:
+        desc = _write(tree, tmp_path / f"{mib}.udi")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert desc.size_bytes > mib * 2 ** 20
+    return peak
+
+
+def test_write_udi_memory_does_not_grow_with_content(tmp_path):
+    # the writer joins a few records per chunk and copies no more than that
+    assert _write_peak(tmp_path, 8) - _write_peak(tmp_path, 1) < 64 * 1024
 
 
 def test_write_udi_metadata_limit_is_inclusive(tmp_path):
